@@ -9,12 +9,12 @@ REPRO_WORKERS ?= 2
 
 export PYTHONPATH := src
 
-.PHONY: test lint bench-smoke bench perf perf-smoke shard-smoke ckpt-smoke traffic-smoke energy-smoke sweep-policies docs-cli linkcheck-docs clean
+.PHONY: test lint bench-smoke bench perf perf-smoke ckpt-smoke traffic-smoke energy-smoke sweep-policies docs-cli linkcheck-docs clean
 
 test:
 	$(PYTHON) -m pytest -x -q
 
-# Static checks over the transaction-lifecycle and sharding layers
+# Static checks over the memory, NoC, simulation-kernel and experiment layers
 # (ruff + mypy come from the `lint` extra; CI installs them, local runs
 # need `pip install -e '.[lint]'` once).
 LINT_PATHS = src/repro/mem src/repro/noc src/repro/sim src/repro/exp
@@ -43,16 +43,6 @@ perf-smoke:
 	$(PYTHON) -m repro.cli perf --compare $(PERF_BASELINE) \
 		"$$(ls -t results/perf/BENCH_*.json | head -1)" \
 		--threshold $(PERF_THRESHOLD)
-
-# Sharded-execution smoke: the quantum-boundary unit tests, the
-# sharded-vs-serial golden-digest equivalence tests, then a small
-# multiprocess shardbench run that cross-checks digests end to end and
-# writes a BENCH_shard artifact (see docs/sharding.md).
-shard-smoke:
-	$(PYTHON) -m pytest -q -p no:cacheprovider \
-		tests/sim/test_domain.py tests/chip/test_sharded_run.py
-	$(PYTHON) -m repro.perf.shardbench --sub-rings 2 --cores 4 \
-		--instrs 80 --shards 1 2 --out results/perf
 
 # Checkpoint/restore smoke: the bit-identical-resume digest tests for all
 # three session kinds, then the CLI checkpoint lifecycle and a warm-started

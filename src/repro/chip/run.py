@@ -261,46 +261,20 @@ def _execute_tcg(request: RunRequest,
                       audit=auditor.summary() if auditor is not None else None)
 
 
-def _resolve_request_shards(request: RunRequest, auditor) -> int:
-    """Effective shard count: the request's, unless a feature that
-    requires the serial engine is active (warn and fall back)."""
-    if not request.shards:
-        return 0
-    cfg = request.smarco_config if request.smarco_config is not None \
-        else smarco_default()
-    blockers = []
-    if auditor is not None:
-        blockers.append("runtime audits")
-    if request.realtime_fraction:
-        blockers.append("realtime scheduling")
-    if cfg.trace_sample_rate:
-        blockers.append("packet tracing")
-    if blockers:
-        warnings.warn(
-            f"ignoring shards={request.shards}: {', '.join(blockers)} "
-            "require(s) the serial engine; running serially",
-            RuntimeWarning, stacklevel=3)
-        return 0
-    return request.shards
-
-
 def _execute_smarco(request: RunRequest,
                     audit: Optional[AuditConfig] = None) -> RunOutcome:
     profile = get_profile(request.workload)
     auditor = _make_auditor(audit)
-    shards = _resolve_request_shards(request, auditor)
     chip = SmarCoChip(request.smarco_config, seed=request.seed,
                       core_policy=request.core_policy,
-                      realtime_fraction=request.realtime_fraction,
-                      shards=shards)
+                      realtime_fraction=request.realtime_fraction)
     if auditor is not None:
         auditor.install(chip)
     chip.load_profile(profile, request.threads_per_core,
                       request.instrs_per_thread,
                       total_threads=request.total_threads,
                       shared_code=request.shared_code)
-    result = chip.run(max_cycles=request.run_cycles,
-                      quantum=request.shard_quantum if shards else None)
+    result = chip.run(max_cycles=request.run_cycles)
     if auditor is not None:
         auditor.end_of_run(chip.sim.now)
     return RunOutcome(request=request, result=result,

@@ -53,10 +53,7 @@ from ..noc.directpath import DirectDatapath
 from ..noc.hierring import HierarchicalRingNoC
 from ..noc.packet import NodeId, Packet, PacketKind
 from ..sim.component import Component
-from ..sim.domain import (AccumulatorTap, BoundaryChannel, CounterTap,
-                          DomainPlan, ShardedSimulator, SimDomain,
-                          replay_taps)
-from ..sim.engine import Simulator, _swap_active, active_sim
+from ..sim.engine import Simulator
 from ..sim.rng import RngTree
 from ..sim.snapshot import snapshotable
 from ..workloads.base import WorkloadProfile
@@ -105,17 +102,10 @@ class SmarcoRunResult(DictResult):
 
 
 class SubRing(Component):
-    """One sub-ring cluster: its MACT, DMA engine, cores and SPMs.
+    """One sub-ring cluster: its MACT, DMA engine, cores and SPMs."""
 
-    In a sharded chip each sub-ring binds to its own domain engine
-    (``sim``); its MACT is the one exception — it sits at the bridge and
-    talks to the main ring over zero-latency ports, so it is absorbed
-    into the hub domain.
-    """
-
-    def __init__(self, ring_id: int, parent: Component,
-                 sim: Optional[Simulator] = None) -> None:
-        super().__init__(f"subring{ring_id}", parent=parent, sim=sim)
+    def __init__(self, ring_id: int, parent: Component) -> None:
+        super().__init__(f"subring{ring_id}", parent=parent)
         self.ring_id = ring_id
 
 
@@ -138,7 +128,7 @@ class _BatchFlight:
 
     def _step(self, _payload=None) -> None:
         chip = self.chip
-        sim = active_sim(chip.sim)
+        sim = chip.sim
         batch = self.batch
         covered = max(1, batch.wanted_bytes)
         mc = chip.memory.controller_for(batch.base_addr)
@@ -202,7 +192,7 @@ class _DirectReadFlight:
 
     def _step(self, _payload=None) -> None:
         chip = self.chip
-        sim = active_sim(chip.sim)
+        sim = chip.sim
         request = self.request
         if self.phase == "command":
             out = Packet(src=chip.core_node(self.core_id),
@@ -249,7 +239,7 @@ class _RemoteSpmFlight:
 
     def _step(self, _payload=None) -> None:
         chip = self.chip
-        sim = active_sim(chip.sim)
+        sim = chip.sim
         request = self.request
         if self.phase == "there":
             there = Packet(src=chip.core_node(self.core_id),
@@ -289,58 +279,11 @@ class SmarCoChip(Component):
         realtime_fraction: float = 0.0,
         spm_prefetch: bool = False,
         name: str = "chip",
-        shards: int = 0,
     ) -> None:
         self.config = config if config is not None else smarco_scaled(4)
         self.config.validate()
         cfg = self.config
-
-        # -- shardable time domains (tentpole): one per sub-ring plus the
-        #    hub (main ring, bridges, MACTs, memory, direct path).
-        self.shards = int(shards)
-        self.shard_plan: Optional[DomainPlan] = None
-        self._ring_domains: List[SimDomain] = []
-        self._to_hub: Optional[List[BoundaryChannel]] = None
-        self._to_sub: Optional[List[BoundaryChannel]] = None
-        if self.shards:
-            if spm_prefetch:
-                raise ConfigError(
-                    "sharded runs do not support spm_prefetch: the "
-                    "prefetcher's fetch_out wire would cross domains with "
-                    "zero latency")
-            if realtime_fraction > 0.0:
-                raise ConfigError(
-                    "sharded runs do not support realtime_fraction > 0 "
-                    "(direct-datapath reads are not domain-partitioned)")
-            if cfg.trace_sample_rate > 0.0:
-                raise ConfigError(
-                    "sharded runs do not support trace sampling "
-                    "(hop traces are stamped from several domains)")
-            # shards == 1: every domain engine draws from ONE arrival
-            # counter and the executor interleaves them in global event
-            # order — bit-for-bit identical to the serial engine (the
-            # equivalence testbed).  shards >= 2: canonical per-domain
-            # tags that independent worker processes can agree on.
-            shared = [0] if self.shards == 1 else None
-            hub = SimDomain("hub", 0, shared_seq=shared)
-            self._ring_domains = [
-                SimDomain(f"sub{s}", s + 1, shared_seq=shared)
-                for s in range(cfg.sub_rings)
-            ]
-            plan = DomainPlan([hub] + self._ring_domains)
-            lat = cfg.ring.bridge_latency
-            self._to_hub = [
-                plan.channel(f"sub{s}->hub", self._ring_domains[s], hub, lat)
-                for s in range(cfg.sub_rings)
-            ]
-            self._to_sub = [
-                plan.channel(f"hub->sub{s}", hub, self._ring_domains[s], lat)
-                for s in range(cfg.sub_rings)
-            ]
-            self.shard_plan = plan
-            super().__init__(name, sim=hub.sim)
-        else:
-            super().__init__(name, sim=Simulator())
+        super().__init__(name, sim=Simulator())
         self.rng = RngTree(seed)
 
         # -- chip-level ports (the seams between subsystems) ------------------
@@ -367,10 +310,6 @@ class SmarCoChip(Component):
         self.noc = HierarchicalRingNoC(
             self.sim, cfg.sub_rings, cfg.cores_per_sub_ring,
             cfg.memory.channels, cfg.ring, parent=self,
-            sub_ring_sims=([d.sim for d in self._ring_domains]
-                           if self.shard_plan is not None else None),
-            shard_channels=((self._to_hub, self._to_sub)
-                            if self.shard_plan is not None else None),
         )
         self.memory = MemorySystem(self.sim, cfg.memory, cfg.frequency_ghz,
                                    parent=self)
@@ -383,19 +322,16 @@ class SmarCoChip(Component):
             )
 
         self.subrings: List[SubRing] = [
-            SubRing(s, parent=self, sim=self._domain_sim(s))
+            SubRing(s, parent=self)
             for s in range(cfg.sub_rings)
         ]
-        # MACTs sit at the bridges and exchange zero-latency port traffic
-        # with the main ring, so they live on the hub engine even though
-        # they are subring{s} children in the component tree.
         self.macts: List[MACT] = [
             MACT(self.sim, config=cfg.mact, parent=self.subrings[s])
             for s in range(cfg.sub_rings)
         ]
         # one DMA engine per sub-ring (SPM transfers + code prefetch, §3.5.1)
         self.dmas: List[DmaEngine] = [
-            DmaEngine(self._domain_sim(s), parent=self.subrings[s])
+            DmaEngine(self.sim, parent=self.subrings[s])
             for s in range(cfg.sub_rings)
         ]
 
@@ -416,7 +352,7 @@ class SmarCoChip(Component):
         self.prefetchers: List[Optional[StreamPrefetcher]] = []
         for cid in range(cfg.total_cores):
             core = TCGCore(
-                self._domain_sim(self.ring_of(cid)), cid,
+                self.sim, cid,
                 config=cfg.tcg, policy=core_policy,
                 spm_map=self.spm_map,
                 realtime_fraction=realtime_fraction,
@@ -437,18 +373,8 @@ class SmarCoChip(Component):
         self.elaborate()
 
     def attach_audit(self, auditor) -> None:
-        if self.shard_plan is not None:
-            raise ConfigError(
-                "runtime audits require the serial engine; re-run without "
-                "--shards (or REPRO_SHARDS) to audit")
         if auditor.register_chip(self):
             self._audit = auditor
-
-    def _domain_sim(self, ring: int) -> Simulator:
-        """The engine sub-ring ``ring``'s components bind to."""
-        if self.shard_plan is None:
-            return self.sim
-        return self._ring_domains[ring].sim
 
     def on_connect(self) -> None:
         """Declare every cross-subsystem wire of Fig 4."""
@@ -504,7 +430,7 @@ class SmarCoChip(Component):
     def _route_request(self, core_id: int, request: MemRequest) -> None:
         ring = self.ring_of(core_id)
         spm_owner = self.spm_map.owner_of(request.addr)
-        sim = active_sim(self.sim)
+        sim = self.sim
         if spm_owner is not None:
             flight = _RemoteSpmFlight(self, core_id, spm_owner, request)
             sim.schedule(0, flight._step, None)
@@ -542,11 +468,11 @@ class SmarCoChip(Component):
         request.complete(now)
 
     def _complete_now(self, request: MemRequest) -> None:
-        request.complete(active_sim(self.sim).now)
+        request.complete(self.sim.now)
 
     def _dispatch_batch(self, ring: int, batch: Batch) -> None:
         flight = _BatchFlight(self, ring, batch)
-        active_sim(self.sim).schedule(0, flight._step, None)
+        self.sim.schedule(0, flight._step, None)
 
     # -- workload loading & running ------------------------------------------------------
 
@@ -648,20 +574,11 @@ class SmarCoChip(Component):
 
     def run_to(self, cycles: float) -> None:
         """Simulate to an absolute cycle horizon (a clean snapshot point)."""
-        if self.shard_plan is not None:
-            raise ConfigError(
-                "run_to/checkpointing requires the serial engine; build "
-                "the chip without shards")
         self.start()
         self.sim.run(until=cycles)
 
-    def run(self, max_cycles: Optional[float] = None,
-            quantum: Optional[float] = None) -> SmarcoRunResult:
+    def run(self, max_cycles: Optional[float] = None) -> SmarcoRunResult:
         """Start every core and simulate to completion (or the horizon)."""
-        if self.shard_plan is not None:
-            return self.run_sharded(max_cycles, quantum=quantum)
-        if quantum is not None:
-            raise ConfigError("quantum only applies to sharded runs")
         self.start()
         self.sim.run(until=max_cycles)
         for mact in self.macts:
@@ -669,134 +586,13 @@ class SmarCoChip(Component):
         self.sim.run(until=max_cycles)
         return self.collect_result()
 
-    # -- sharded execution ---------------------------------------------------------
-
-    def run_sharded(
-        self,
-        max_cycles: Optional[float] = None,
-        workers: Optional[int] = None,
-        quantum: Optional[float] = None,
-    ) -> SmarcoRunResult:
-        """Run the partitioned chip under conservative time-window sync.
-
-        ``workers >= 2`` shards the domain groups across processes; one
-        worker runs every domain in-process (still windowed — the
-        equivalence testbed).  ``quantum=None`` picks the largest safe
-        window (the bridge latency); ``quantum=0`` is the bit-for-bit
-        sequential reference mode.
-        """
-        if self.shard_plan is None:
-            raise ConfigError("construct the chip with shards >= 1 first")
-        nworkers = self.shards if workers is None else workers
-        if nworkers >= 2:
-            if self.shard_plan.serial_merged:
-                raise ConfigError(
-                    "this chip was built for in-process sharding "
-                    "(shards=1); rebuild with shards >= 2 for a "
-                    "multiprocess run")
-            from .shard_mp import run_chip_mp
-            return run_chip_mp(self, max_cycles, nworkers, quantum)
-        if not self.shard_plan.serial_merged:
-            raise ConfigError(
-                "this chip was built for multiprocess sharding; rebuild "
-                "with shards=1 for an in-process run")
-        # serial-merge mode IS serially ordered, so the cross-domain
-        # stats need no order-restoring taps
-        self.start()
-        ShardedSimulator(self.shard_plan, quantum).run(
-            until=max_cycles, quiesce_hooks=[self._flush_macts])
-        return self.collect_result()
-
-    def _flush_macts(self) -> None:
-        """Quiesce hook: drain every MACT (on the hub, where they live)."""
-        prev = _swap_active(self.sim)
-        try:
-            for mact in self.macts:
-                mact.flush_all()
-        finally:
-            _swap_active(prev)
-
-    def _install_shard_taps(self) -> Dict[str, object]:
-        """Swap the cross-domain stats for order-restoring recorders.
-
-        Exactly four stats receive samples from more than one domain:
-        the chip's request-latency accumulator and the NoC's injected /
-        delivered counters and latency accumulator.  Accumulators are
-        Welford-order-sensitive and multiprocess workers replicate the
-        hub, so these record (time, domain, value) streams during the
-        run and replay them serially afterwards.
-        """
-        taps: Dict[str, object] = {
-            "req_latency": AccumulatorTap(self.req_latency),
-            "noc.latency": AccumulatorTap(self.noc.latency),
-            "noc.injected": CounterTap(self.noc.injected),
-            "noc.delivered": CounterTap(self.noc.delivered),
-        }
-        self.req_latency = taps["req_latency"]        # type: ignore[assignment]
-        self.noc.latency = taps["noc.latency"]        # type: ignore[assignment]
-        self.noc.injected = taps["noc.injected"]      # type: ignore[assignment]
-        self.noc.delivered = taps["noc.delivered"]    # type: ignore[assignment]
-        return taps
-
-    def _remove_shard_taps(self, taps: Dict[str, object]) -> None:
-        self.req_latency = taps["req_latency"].stat      # type: ignore
-        self.noc.latency = taps["noc.latency"].stat      # type: ignore
-        self.noc.injected = taps["noc.injected"].stat    # type: ignore
-        self.noc.delivered = taps["noc.delivered"].stat  # type: ignore
-
-    def shard_deferred_stats(self) -> set:
-        """Registry names of the tap-recorded (cross-domain) stats."""
-        return {
-            f"{self.path}.req_latency",
-            f"{self.path}.noc.latency",
-            f"{self.path}.noc.injected",
-            f"{self.path}.noc.delivered",
-        }
-
-    def shard_stat_domain(self, stat_name: str) -> int:
-        """Domain index (0 = hub) whose events mutate a registry stat.
-
-        Used by the multiprocess executor to pick, for each stat, the
-        single worker whose copy is authoritative.
-        """
-        prefix = self.path + "."
-        if not stat_name.startswith(prefix):
-            return 0
-        rest = stat_name[len(prefix):]
-        if rest.startswith("noc.sub"):
-            ring = rest[len("noc.sub"):].split(".", 1)[0]
-            return int(ring) + 1 if ring.isdigit() else 0
-        if rest.startswith("noc."):
-            return 0
-        if rest.startswith("subring"):
-            head, _, tail = rest.partition(".")
-            ring = head[len("subring"):]
-            if not ring.isdigit():
-                return 0
-            # the MACT is the hub-absorbed exception inside a sub-ring
-            if tail.startswith("mact"):
-                return 0
-            return int(ring) + 1
-        return 0
-
-    def collect_result(
-        self, done_override: Optional[Dict[int, bool]] = None,
-    ) -> SmarcoRunResult:
-        """Gather the run metrics at the current simulation time.
-
-        ``done_override`` maps core_id -> finished flag; the multiprocess
-        executor passes it because worker-side core FSMs never migrate
-        back into the parent's objects.
-        """
+    def collect_result(self) -> SmarcoRunResult:
+        """Gather the run metrics at the current simulation time."""
         active = [core for core in self.cores if core.threads]
         instructions = sum(core.instructions for core in active)
         requests_in = sum(m.requests_in.value for m in self.macts)
         batches = sum(m.batches_out.value for m in self.macts)
-        if done_override is None:
-            cores_done = sum(1 for c in active if c.done)
-        else:
-            cores_done = sum(
-                1 for c in active if done_override.get(c.core_id, False))
+        cores_done = sum(1 for c in active if c.done)
         return SmarcoRunResult(
             cycles=self.sim.now,
             instructions=instructions,

@@ -52,16 +52,6 @@ class RunRequest:
     realtime_fraction: float = 0.0
     total_threads: Optional[int] = None
     shared_code: bool = False
-    #: 0 = classic serial engine; 1 = in-process sharded execution (the
-    #: bit-for-bit equivalence mode); >= 2 = that many worker processes.
-    #: Part of the cache key: multiprocess runs may legally commute
-    #: same-cycle cross-ring ties, so their outcomes are cached apart
-    #: from serial ones.
-    shards: int = 0
-    #: conservative sync window for sharded runs; None picks the largest
-    #: safe quantum (the minimum boundary-channel latency), 0 the
-    #: sequential instant-by-instant mode
-    shard_quantum: Optional[float] = None
 
     # -- single TCG core (kind == "tcg"): a fixed-latency memory port --
     mem_latency: float = 150.0
@@ -176,22 +166,6 @@ class RunRequest:
             self.xeon_config.validate()
         if self.run_cycles is not None and self.run_cycles <= 0:
             raise ConfigError("run_cycles must be positive (or None)")
-        if self.shards < 0:
-            raise ConfigError("shards must be >= 0 (0 = serial engine)")
-        if self.shards:
-            if self.kind not in ("smarco", "compare"):
-                raise ConfigError(
-                    f"kind {self.kind!r} cannot shard: only the SmarCo "
-                    "chip has a domain partition")
-            if self.warm_cycles:
-                raise ConfigError(
-                    "sharded runs cannot warm-start: checkpointing "
-                    "requires the serial engine")
-        if self.shard_quantum is not None:
-            if not self.shards:
-                raise ConfigError("shard_quantum needs shards >= 1")
-            if self.shard_quantum < 0:
-                raise ConfigError("shard_quantum must be >= 0")
         if self.warm_cycles < 0:
             raise ConfigError("warm_cycles must be >= 0")
         if self.warm_cycles:
@@ -276,5 +250,7 @@ def request_from_snapshot(data: Dict[str, Any]) -> RunRequest:
     payload["warm_axes"] = tuple(payload.get("warm_axes") or ())
     if "traffic_slo" in payload:
         payload["traffic_slo"] = tuple(payload["traffic_slo"] or ())
+    # fields retired since the snapshot was written are dropped, so old
+    # telemetry, cache records and checkpoints still load
     names = {f.name for f in dataclasses.fields(RunRequest)}
     return RunRequest(**{k: v for k, v in payload.items() if k in names})

@@ -27,52 +27,31 @@ from .request import request_from_snapshot
 from .spec import ExperimentSpec, SweepPoint
 from .telemetry import RunRecord, utc_now, write_record
 
-__all__ = ["Runner", "SweepResult", "resolve_workers", "resolve_shards"]
+__all__ = ["Runner", "SweepResult", "resolve_workers"]
 
 #: Environment knob CI uses to pin worker count (e.g. ``REPRO_WORKERS=2``).
 WORKERS_ENV = "REPRO_WORKERS"
 
-#: Environment knob selecting the sharded chip executor (``--shards``).
-SHARDS_ENV = "REPRO_SHARDS"
 
-
-def _resolve_env_count(env_var: str, value: Optional[int],
-                       default: int) -> int:
-    """Explicit argument wins; else the env var; else ``default``.
+def resolve_workers(workers: Optional[int] = None) -> int:
+    """Explicit argument wins; else ``$REPRO_WORKERS``; else serial.
 
     A value that does not parse as an integer is *reported*, not
     silently coerced: ``REPRO_WORKERS=two`` used to mean 1 with no hint
     of the typo.
     """
-    if value is None:
-        raw = os.environ.get(env_var, "").strip()
+    if workers is None:
+        raw = os.environ.get(WORKERS_ENV, "").strip()
+        workers = 1
         if raw:
             try:
-                value = int(raw)
+                workers = int(raw)
             except ValueError:
                 import warnings
                 warnings.warn(
-                    f"ignoring invalid {env_var}={raw!r} (expected an "
-                    f"integer); using {default}", RuntimeWarning,
-                    stacklevel=3)
-                value = default
-        else:
-            value = default
-    return value
-
-
-def resolve_workers(workers: Optional[int] = None) -> int:
-    """Explicit argument wins; else ``$REPRO_WORKERS``; else serial."""
-    return max(1, _resolve_env_count(WORKERS_ENV, workers, 1))
-
-
-def resolve_shards(shards: Optional[int] = None) -> int:
-    """Explicit argument wins; else ``$REPRO_SHARDS``; else 0 (serial).
-
-    0 selects the classic serial engine, 1 the in-process sharded
-    executor, and ``n >= 2`` a multiprocess run with ``n`` workers.
-    """
-    return max(0, _resolve_env_count(SHARDS_ENV, shards, 0))
+                    f"ignoring invalid {WORKERS_ENV}={raw!r} (expected an "
+                    "integer); using 1", RuntimeWarning, stacklevel=2)
+    return max(1, workers)
 
 
 def _execute_payload(payload: Dict[str, Any]) -> Dict[str, Any]:

@@ -22,33 +22,7 @@ from typing import Any, Callable, Generator, List, Optional, Tuple
 
 from ..errors import SimulationError
 
-__all__ = ["Simulator", "EventSignal", "Process", "Completion",
-           "active_sim"]
-
-# -- active-engine context ---------------------------------------------------
-#
-# Sharded execution (repro.sim.domain) advances several engines in one
-# process.  Helper objects that were built against one engine (signals,
-# completions, NoC flights) may be *executed* by another domain's engine;
-# what must stay local is the engine that is currently dispatching events.
-# The sharded executor publishes it here around every window.  Serial runs
-# never set it, so ``active_sim(fallback)`` degenerates to ``fallback``
-# and the serial event order is untouched.
-
-_ACTIVE: Optional["Simulator"] = None
-
-
-def active_sim(fallback: "Simulator") -> "Simulator":
-    """The engine currently dispatching events (``fallback`` if none)."""
-    return _ACTIVE if _ACTIVE is not None else fallback
-
-
-def _swap_active(sim: Optional["Simulator"]) -> Optional["Simulator"]:
-    """Install ``sim`` as the dispatching engine; returns the previous one."""
-    global _ACTIVE
-    prev = _ACTIVE
-    _ACTIVE = sim
-    return prev
+__all__ = ["Simulator", "EventSignal", "Process", "Completion"]
 
 
 class EventSignal:
@@ -82,10 +56,7 @@ class EventSignal:
         self.fire_count += 1
         self.last_payload = payload
         waiters, self._waiters = self._waiters, []
-        # Waiters resume on the engine that fired the signal: in a sharded
-        # run the firing event's domain is where the wakeup belongs (the
-        # signal object may have been created under another engine).
-        sim = _ACTIVE if _ACTIVE is not None else self.sim
+        sim = self.sim
         for cb in waiters:
             sim.schedule(0, cb, payload)
         return len(waiters)
@@ -136,8 +107,7 @@ class Completion:
         zero-delay wakeup (one sequence number), pending ones register on
         the done signal (no sequence number until the fire)."""
         if self.finished:
-            sim = _ACTIVE if _ACTIVE is not None else self.sim
-            sim.schedule(0, callback, self.result)
+            self.sim.schedule(0, callback, self.result)
         else:
             self.done_signal.wait(callback)
 

@@ -5,6 +5,7 @@ import pytest
 from repro.chip import XeonSystem, run_xeon
 from repro.config import XeonConfig
 from repro.errors import ConfigError
+from repro.exp import RunRequest
 from repro.workloads import get_profile
 
 
@@ -102,7 +103,11 @@ class TestSmarcoVsXeonDirection:
         from repro.chip import run_smarco
         from repro.config import smarco_scaled
 
-        smarco = run_smarco("wordcount", smarco_scaled(2, 8),
-                            threads_per_core=8, instrs_per_thread=250)
-        xeon = run_xeon("wordcount", n_threads=48, instrs_per_thread=10_000)
+        smarco = run_smarco(RunRequest(
+            kind="smarco", workload="wordcount",
+            smarco_config=smarco_scaled(2, 8),
+            threads_per_core=8, instrs_per_thread=250))
+        xeon = run_xeon(RunRequest(
+            kind="xeon", workload="wordcount",
+            xeon_threads=48, xeon_instrs_per_thread=10_000))
         assert smarco.throughput_ips > xeon.throughput_ips

@@ -12,8 +12,7 @@ import time
 import pytest
 
 from repro.config import smarco_scaled
-from repro.exp import (ExperimentSpec, Runner, RunRequest, resolve_shards,
-                       resolve_workers)
+from repro.exp import ExperimentSpec, Runner, RunRequest, resolve_workers
 
 BASE = RunRequest(kind="smarco", workload="kmp",
                   smarco_config=smarco_scaled(1, 4),
@@ -100,22 +99,3 @@ class TestWorkerResolution:
         monkeypatch.setenv("REPRO_WORKERS", "many")
         with pytest.warns(RuntimeWarning, match="REPRO_WORKERS='many'"):
             assert resolve_workers(None) == 1
-
-
-class TestShardResolution:
-    def test_explicit_argument_wins(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SHARDS", "7")
-        assert resolve_shards(2) == 2
-
-    def test_env_fallback(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SHARDS", "4")
-        assert resolve_shards(None) == 4
-
-    def test_default_is_unsharded(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SHARDS", raising=False)
-        assert resolve_shards(None) == 0
-
-    def test_garbage_env_is_unsharded_and_warns(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SHARDS", "2.5")
-        with pytest.warns(RuntimeWarning, match="REPRO_SHARDS='2.5'"):
-            assert resolve_shards(None) == 0
