@@ -11,7 +11,7 @@ in energy efficiency — is what the assertions pin down.
 """
 
 from repro.analysis import geometric_mean, render_table
-from repro.chip import compare
+from repro.chip import execute
 from repro.config import smarco_scaled
 from repro.exp import RunRequest
 from repro.workloads import HTC_PROFILES
@@ -25,10 +25,10 @@ def test_fig22_comparison(benchmark, emit, chip_scale):
 
     def sweep():
         return {
-            wl: compare(RunRequest(kind="compare", workload=wl, seed=22,
+            wl: execute(RunRequest(kind="compare", workload=wl, seed=22,
                                    smarco_config=cfg, threads_per_core=8,
                                    instrs_per_thread=instrs, xeon_threads=48,
-                                   xeon_instrs_per_thread=30_000))
+                                   xeon_instrs_per_thread=30_000)).result
             for wl in WORKLOADS
         }
 

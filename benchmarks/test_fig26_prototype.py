@@ -10,7 +10,7 @@ Its energy-efficiency gain over the Xeon drops to 2.05x-6.84x (average
 import dataclasses
 
 from repro.analysis import geometric_mean, render_table
-from repro.chip import SmarCoChip, run_xeon
+from repro.chip import SmarCoChip, execute
 from repro.config import smarco_scaled
 from repro.exp import RunRequest
 from repro.power import PowerModel, XeonPowerModel
@@ -33,8 +33,9 @@ def _gain(workload, cfg, instrs):
     chip.load_profile(get_profile(workload), threads_per_core=8,
                       instrs_per_thread=instrs)
     smarco = chip.run()
-    xeon = run_xeon(RunRequest(kind="xeon", workload=workload, seed=26,
-                               xeon_threads=48, xeon_instrs_per_thread=30_000))
+    xeon = execute(RunRequest(kind="xeon", workload=workload, seed=26,
+                              xeon_threads=48,
+                              xeon_instrs_per_thread=30_000)).result
     smarco_watts = PowerModel(cfg).total_watts(
         utilization=max(0.5, smarco.utilization), technology_nm=40,
     ) + BOARD_OVERHEAD_W

@@ -9,7 +9,7 @@ metrics — then does the same on the Xeon baseline for comparison.
 Run:  python examples/quickstart.py
 """
 
-from repro import RunRequest, SmarCoChip, get_profile, run_xeon, smarco_scaled
+from repro import RunRequest, SmarCoChip, execute, get_profile, smarco_scaled
 
 
 def main() -> None:
@@ -31,8 +31,8 @@ def main() -> None:
     print(f"NoC bandwidth utilised : {result.noc_bandwidth_utilization:.1%}")
 
     print("\n=== Xeon E7-8890V4 baseline (48 threads) ===")
-    xeon = run_xeon(RunRequest(kind="xeon", workload="kmp", xeon_threads=48,
-                               xeon_instrs_per_thread=30_000))
+    xeon = execute(RunRequest(kind="xeon", workload="kmp", xeon_threads=48,
+                              xeon_instrs_per_thread=30_000)).result
     print(f"throughput             : {xeon.throughput_ips / 1e9:.2f} Ginstr/s")
     print(f"pipeline idle ratio    : {xeon.idle_ratio:.1%}")
     print(f"L1 miss ratio          : {xeon.miss_ratios['L1']:.1%}")

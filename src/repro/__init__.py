@@ -26,10 +26,7 @@ from .chip import (
     TcgRunResult,
     XeonRunResult,
     XeonSystem,
-    compare,
     execute,
-    run_smarco,
-    run_xeon,
 )
 from .config import (
     MACTConfig,
@@ -58,9 +55,6 @@ __all__ = [
     "ComparisonResult",
     "RunOutcome",
     "execute",
-    "run_smarco",
-    "run_xeon",
-    "compare",
     "RunRequest",
     "ExperimentSpec",
     "SmarCoConfig",

@@ -1,15 +1,7 @@
 """Full-chip assemblies: SmarCo, the Xeon baseline, and the run harness."""
 
 from .results import DictResult, result_from_dict
-from .run import (
-    ComparisonResult,
-    RunOutcome,
-    TcgRunResult,
-    compare,
-    execute,
-    run_smarco,
-    run_xeon,
-)
+from .run import ComparisonResult, RunOutcome, TcgRunResult, execute
 from .session import SESSION_KINDS, RunSession
 from .smarco import SmarCoChip, SmarcoRunResult
 from .xeon import XeonRunResult, XeonSystem
@@ -27,7 +19,4 @@ __all__ = [
     "DictResult",
     "result_from_dict",
     "execute",
-    "run_smarco",
-    "run_xeon",
-    "compare",
 ]

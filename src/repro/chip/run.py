@@ -9,19 +9,16 @@ returns a :class:`RunOutcome`: the result object *plus* the full
 entry point, so there is a single source of truth for how a request maps
 to a simulator build.
 
-The historical per-kind helpers (:func:`run_smarco`, :func:`run_xeon`,
-:func:`compare`) remain as thin shims: they accept a ``RunRequest`` as
-their first argument, and their old kwargs signatures still work but
-emit :class:`DeprecationWarning`.
+A caller that wants only the result object reads
+``execute(request).result``.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, Optional, Union
+from typing import Any, Dict, Optional
 
-from ..config import AuditConfig, SmarCoConfig, XeonConfig, smarco_default
+from ..config import AuditConfig, smarco_default
 from ..core.ports import FixedLatencyPort
 from ..core.tcg import TCGCore
 from ..errors import ConfigError
@@ -41,9 +38,6 @@ __all__ = [
     "ComparisonResult",
     "RunOutcome",
     "execute",
-    "run_smarco",
-    "run_xeon",
-    "compare",
 ]
 
 
@@ -398,83 +392,3 @@ def _execute_traffic(request: RunRequest,
     registry = StatsRegistry()
     result = run_traffic(request, registry=registry)
     return RunOutcome(request=request, result=result, stats=registry.dump())
-
-
-# -- legacy per-kind helpers (thin shims over execute) -----------------------------
-
-
-def _warn_kwargs(name: str) -> None:
-    warnings.warn(
-        f"{name}(workload, **kwargs) is deprecated; build a "
-        f"repro.exp.RunRequest and pass it as the only argument",
-        DeprecationWarning, stacklevel=3)
-
-
-def run_smarco(
-    workload: Union[RunRequest, str],
-    config: Optional[SmarCoConfig] = None,
-    threads_per_core: int = 8,
-    instrs_per_thread: int = 600,
-    seed: int = 0,
-    core_policy: str = "inpair",
-    realtime_fraction: float = 0.0,
-) -> SmarcoRunResult:
-    """Run a named workload on a SmarCo chip (prefer passing a RunRequest)."""
-    if isinstance(workload, RunRequest):
-        return _execute_smarco(replace(workload, kind="smarco")).result
-    _warn_kwargs("run_smarco")
-    request = RunRequest(
-        kind="smarco", workload=workload, seed=seed, smarco_config=config,
-        threads_per_core=threads_per_core,
-        instrs_per_thread=instrs_per_thread,
-        core_policy=core_policy, realtime_fraction=realtime_fraction,
-    )
-    return _execute_smarco(request).result
-
-
-def run_xeon(
-    workload: Union[RunRequest, str],
-    config: Optional[XeonConfig] = None,
-    n_threads: int = 48,
-    instrs_per_thread: int = 40_000,
-    seed: int = 0,
-    stagger_creation: bool = True,
-) -> XeonRunResult:
-    """Run a named workload on the baseline (prefer passing a RunRequest)."""
-    if isinstance(workload, RunRequest):
-        return _execute_xeon(replace(workload, kind="xeon")).result
-    _warn_kwargs("run_xeon")
-    request = RunRequest(
-        kind="xeon", workload=workload, seed=seed, xeon_config=config,
-        xeon_threads=n_threads, xeon_instrs_per_thread=instrs_per_thread,
-        stagger_creation=stagger_creation,
-    )
-    return _execute_xeon(request).result
-
-
-def compare(
-    workload: Union[RunRequest, str],
-    smarco_config: Optional[SmarCoConfig] = None,
-    xeon_config: Optional[XeonConfig] = None,
-    smarco_threads_per_core: int = 8,
-    smarco_instrs_per_thread: int = 600,
-    xeon_threads: int = 48,
-    xeon_instrs_per_thread: int = 40_000,
-    seed: int = 0,
-    technology_nm: Optional[int] = None,
-    power_config: Optional[SmarCoConfig] = None,
-) -> ComparisonResult:
-    """SmarCo vs Xeon on one workload (prefer passing a RunRequest)."""
-    if isinstance(workload, RunRequest):
-        return _execute_compare(replace(workload, kind="compare")).result
-    _warn_kwargs("compare")
-    request = RunRequest(
-        kind="compare", workload=workload, seed=seed,
-        smarco_config=smarco_config, xeon_config=xeon_config,
-        threads_per_core=smarco_threads_per_core,
-        instrs_per_thread=smarco_instrs_per_thread,
-        xeon_threads=xeon_threads,
-        xeon_instrs_per_thread=xeon_instrs_per_thread,
-        technology_nm=technology_nm, power_config=power_config,
-    )
-    return _execute_compare(request).result

@@ -37,10 +37,11 @@ from pathlib import Path
 from typing import List, Optional
 
 from .analysis import render_result, render_table
-from .chip.run import execute, run_xeon
+from .chip.run import execute
 from .config import AuditConfig, smarco_scaled
+from .core.tcg import TCG_POLICIES
 from .exp import ExperimentSpec, RunRequest
-from .power import NODES, AreaModel, PowerModel, dvfs_summaries, list_dvfs
+from .power import DVFS_POINTS, NODES, AreaModel, PowerModel
 from .workloads import CdnModel, all_profiles
 
 __all__ = ["main", "build_parser"]
@@ -85,8 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--instrs", type=int, default=300,
                        help="instructions per thread")
     run_p.add_argument("--seed", type=int, default=0)
-    run_p.add_argument("--policy", default="inpair",
-                       choices=("inpair", "blocking", "coarse"))
+    run_p.add_argument("--policy", default="inpair", choices=TCG_POLICIES)
     run_p.add_argument("--shared-code", action="store_true",
                        help="DMA-prefetch the instruction segment (3.1.2)")
     run_p.add_argument("--trace-rate", type=float, default=0.0,
@@ -97,7 +97,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="enable the runtime invariant audit layer "
                             "(fails loudly on any violation; results are "
                             "identical to an unaudited run)")
-    run_p.add_argument("--dvfs", default="nominal", choices=list_dvfs(),
+    run_p.add_argument("--dvfs", default="nominal",
+                       choices=DVFS_POINTS.names(),
                        help="DVFS operating point for energy accounting "
                             "(observation-only: simulated cycles are "
                             "unchanged)")
@@ -124,7 +125,8 @@ def build_parser() -> argparse.ArgumentParser:
     cmp_p.add_argument("--sub-rings", type=int, default=4)
     cmp_p.add_argument("--instrs", type=int, default=250)
     cmp_p.add_argument("--seed", type=int, default=0)
-    cmp_p.add_argument("--dvfs", default="nominal", choices=list_dvfs(),
+    cmp_p.add_argument("--dvfs", default="nominal",
+                       choices=DVFS_POINTS.names(),
                        help="DVFS operating point for the energy columns")
     cmp_p.add_argument("--node", type=int, default=None,
                        choices=sorted(NODES), metavar="NM",
@@ -177,7 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="spec name (labels the telemetry records)")
     sweep_p.add_argument("--seeds", type=int, nargs="+", default=[0])
     sweep_p.add_argument("--policies", nargs="+", default=None,
-                         choices=("inpair", "blocking", "coarse"),
+                         choices=TCG_POLICIES,
                          help="add a core-policy axis to the grid")
     sweep_p.add_argument("--sub-rings", type=int, default=2)
     sweep_p.add_argument("--cores", type=int, default=8,
@@ -237,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="cycle at which --warm-start snapshots the "
                               "shared warm-up prefix")
     sweep_p.add_argument("--dvfs-points", nargs="+", default=None,
-                         choices=list_dvfs(), metavar="POINT",
+                         choices=DVFS_POINTS.names(), metavar="POINT",
                          help="add a DVFS operating-point axis to the "
                               "grid (kinds smarco/compare; observation-"
                               "only but a cache-key axis)")
@@ -367,23 +369,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_policies(args: argparse.Namespace) -> int:
-    from .sched import policy_summaries, scenario_summaries
+    from .sched import POLICIES, SCENARIOS
 
     if args.policies_command == "list":
-        rows = [[card["name"], card["decision_overhead"], card["summary"]]
-                for card in policy_summaries()]
+        rows = [[name, policy.decision_overhead, policy.describe()["summary"]]
+                for name, policy in POLICIES.items()]
         print(render_table(["policy", "overhead", "summary"], rows,
                            title="Registered scheduler policies"))
         print()
-        rows = [[s["name"], s["summary"]] for s in scenario_summaries()]
+        rows = [[name, s.summary] for name, s in SCENARIOS.items()]
         print(render_table(["scenario", "summary"], rows,
                            title="Adversarial scenarios"))
         return 0
     from .errors import SchedulerError
-    from .sched import get_policy
 
     try:
-        card = get_policy(args.name).describe()
+        card = POLICIES.get(args.name).describe()
     except SchedulerError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -456,10 +457,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_xeon(args: argparse.Namespace) -> int:
-    result = run_xeon(RunRequest(
+    result = execute(RunRequest(
         kind="xeon", workload=args.workload, seed=args.seed,
         xeon_threads=args.threads, xeon_instrs_per_thread=args.instrs,
-    ))
+    )).result
     print(render_table(["metric", "value"], [
         ["threads", result.threads],
         ["cycles", f"{result.cycles:,.0f}"],
@@ -496,14 +497,14 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_traffic(args: argparse.Namespace) -> int:
-    from .traffic import arrival_summaries, balancer_summaries
+    from .traffic import ARRIVALS, BALANCERS
 
     if args.list:
-        rows = [[a["name"], a["summary"]] for a in arrival_summaries()]
+        rows = [[name, a.summary] for name, a in ARRIVALS.items()]
         print(render_table(["arrival", "summary"], rows,
                            title="Registered arrival processes"))
         print()
-        rows = [[b["name"], b["summary"]] for b in balancer_summaries()]
+        rows = [[name, b.summary] for name, b in BALANCERS.items()]
         print(render_table(["balancer", "summary"], rows,
                            title="Registered load balancers"))
         return 0
@@ -572,15 +573,15 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.policies:
         axes["core_policy"] = args.policies
     if args.kind == "sched":
-        from .sched import list_policies, list_scenarios
+        from .sched import POLICIES, SCENARIOS
 
-        axes["sched_policy"] = args.sched_policies or list_policies()
-        axes["sched_scenario"] = args.scenarios or list_scenarios()
+        axes["sched_policy"] = args.sched_policies or POLICIES.names()
+        axes["sched_scenario"] = args.scenarios or SCENARIOS.names()
     if args.kind == "traffic":
-        from .traffic import list_arrivals, list_balancers
+        from .traffic import ARRIVALS, BALANCERS
 
-        axes["traffic_arrival"] = args.arrivals or list_arrivals()
-        axes["traffic_balancer"] = args.balancers or list_balancers()
+        axes["traffic_arrival"] = args.arrivals or ARRIVALS.names()
+        axes["traffic_balancer"] = args.balancers or BALANCERS.names()
         axes["traffic_load"] = args.loads
     if args.run_cycles:
         axes["run_cycles"] = args.run_cycles
@@ -737,8 +738,8 @@ def _cmd_area_power() -> int:
                        title="Table 1: SmarCo at 32nm / 1.5GHz"))
     print()
     print("DVFS operating points (pass to run/sweep via --dvfs):")
-    for line in dvfs_summaries():
-        print(f"  {line}")
+    for _, point in DVFS_POINTS.items():
+        print(f"  {point.describe()}")
     return 0
 
 

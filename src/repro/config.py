@@ -224,20 +224,19 @@ class MemoryConfig:
 class SchedulerConfig:
     """Laxity-aware task scheduler (paper §3.7)."""
 
-    policy: str = "laxity"              # any repro.sched.list_policies() name
+    policy: str = "laxity"              # any repro.sched.POLICIES name
     dispatch_latency: int = 8           # cycles to dispatch a task to a thread
     chain_table_entries: int = 256      # per sub-ring RAM chain-table slots
 
     def validate(self) -> None:
         # lazy import: repro.sched imports this module at load time, so the
         # registry can only be consulted from inside the call
-        from .sched.policy import list_policies
+        from .sched.policy import POLICIES
 
-        known = list_policies()
-        if self.policy not in known:
+        if self.policy not in POLICIES:
             raise ConfigError(
                 f"unknown scheduler policy {self.policy!r}; "
-                f"registered: {', '.join(known)}")
+                f"registered: {', '.join(POLICIES.names())}")
 
 
 @dataclass(frozen=True)

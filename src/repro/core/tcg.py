@@ -44,14 +44,15 @@ from .ports import FunctionPort, MemoryPort
 from .stream import CoreInstr
 from .thread import HardwareThread, ThreadState
 
-__all__ = ["TCGCore", "UNCACHED_BASE"]
+__all__ = ["TCGCore", "UNCACHED_BASE", "TCG_POLICIES"]
 
 # LSQ address map: [0, SPM_REGION_BASE) cacheable DRAM,
 # [SPM_REGION_BASE, UNCACHED_BASE) scratchpads,
 # [UNCACHED_BASE, ...) uncached streaming accesses (MACT-eligible).
 UNCACHED_BASE = 0x8000_0000_0000
 
-_POLICIES = ("inpair", "blocking", "coarse")
+#: thread-issue policies of a TCG core (``RunRequest.core_policy``)
+TCG_POLICIES = ("inpair", "blocking", "coarse")
 
 
 @snapshotable
@@ -226,7 +227,7 @@ class TCGCore(Component):
         parent: Optional[Component] = None,
         name: Optional[str] = None,
     ) -> None:
-        if policy not in _POLICIES:
+        if policy not in TCG_POLICIES:
             raise ConfigError(f"unknown TCG policy {policy!r}")
         if realtime_fraction and rng is None:
             raise ConfigError("realtime_fraction needs an rng")

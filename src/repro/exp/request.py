@@ -28,7 +28,7 @@ from ..config import (
     TCGConfig,
     XeonConfig,
 )
-from ..errors import ConfigError, SchedulerError
+from ..errors import ConfigError, SchedulerError, TrafficError, WorkloadError
 
 __all__ = ["RunRequest", "RUN_KINDS", "request_from_snapshot"]
 
@@ -111,27 +111,36 @@ class RunRequest:
     def validate(self) -> None:
         if self.kind not in RUN_KINDS:
             raise ConfigError(f"unknown run kind {self.kind!r}")
+        # fail on unknown names at request time, not inside a worker
+        from ..core.tcg import TCG_POLICIES
+        from ..workloads.base import get_profile
+
+        if self.core_policy not in TCG_POLICIES:
+            raise ConfigError(
+                f"unknown TCG policy {self.core_policy!r}; "
+                f"registered: {', '.join(TCG_POLICIES)}")
+        # a sched race may run without a workload profile
+        if self.workload or self.kind != "sched":
+            try:
+                get_profile(self.workload)
+            except WorkloadError as exc:
+                raise ConfigError(str(exc)) from None
         if self.kind == "sched":
-            # fail at request time, not inside a worker process
-            from ..sched.policy import get_policy
-            from ..sched.scenarios import get_scenario
+            from ..sched import POLICIES, SCENARIOS
 
             try:
-                get_policy(self.sched_policy)
-                get_scenario(self.sched_scenario)
+                POLICIES.get(self.sched_policy)
+                SCENARIOS.get(self.sched_scenario)
             except SchedulerError as exc:
                 raise ConfigError(str(exc)) from None
             if self.sched_tasks <= 0 or self.sched_contexts <= 0:
                 raise ConfigError("sched runs need >=1 task and context")
         if self.kind == "traffic":
-            # fail at request time, not inside a worker process
-            from ..errors import TrafficError
-            from ..traffic.arrivals import get_arrival
-            from ..traffic.balancer import get_balancer
+            from ..traffic import ARRIVALS, BALANCERS
 
             try:
-                get_arrival(self.traffic_arrival)
-                get_balancer(self.traffic_balancer)
+                ARRIVALS.get(self.traffic_arrival)
+                BALANCERS.get(self.traffic_balancer)
             except TrafficError as exc:
                 raise ConfigError(str(exc)) from None
             if self.traffic_chips <= 0:
@@ -145,10 +154,9 @@ class RunRequest:
                 raise ConfigError(
                     f"traffic_slo targets must be positive: "
                     f"{self.traffic_slo!r}")
-        # fail on bad power axes at request time, not inside a worker
-        from ..power.dvfs import get_dvfs
+        from ..power.dvfs import DVFS_POINTS
 
-        get_dvfs(self.dvfs)
+        DVFS_POINTS.get(self.dvfs)
         if self.technology_nm is not None:
             from ..power.tech import NODES
 

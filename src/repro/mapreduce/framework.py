@@ -25,7 +25,7 @@ from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence, Tupl
 
 from ..config import SmarCoConfig, smarco_scaled
 from ..errors import WorkloadError
-from ..sched import SchedulerTestbed, Task, create_policy
+from ..sched import POLICIES, SchedulerTestbed, Task
 from ..sim.engine import Simulator
 
 __all__ = ["MapReduceJob", "TaskPlacement", "StageTiming", "MapReduceResult",
@@ -143,8 +143,8 @@ class MapReduceRuntime:
         extra memory traffic (the paper's 'exchange data with main
         memory' case)."""
         sim = Simulator()
-        scheduler = create_policy(self.config.scheduler.policy,
-                                  config=self.config.scheduler)
+        scheduler = POLICIES.get(self.config.scheduler.policy)(
+            config=self.config.scheduler)
         contexts = (len({p.sub_ring for p in placements})
                     * self.config.cores_per_sub_ring
                     * self.config.tcg.running_threads)

@@ -319,7 +319,7 @@ def _k_sched_assign(params: Dict[str, int]) -> Dict[str, Any]:
     the assignment sequence keeps the kernel's determinism contract: any
     ordering change in any policy shows up as a result mismatch.
     """
-    from ..sched.policy import create_policy, list_policies
+    from ..sched.policy import POLICIES
     from ..sched.task import Task, TaskPriority
     from ..sim.rng import RngTree
 
@@ -327,8 +327,8 @@ def _k_sched_assign(params: Dict[str, int]) -> Dict[str, Any]:
     contexts, window = 32, 128
     assignments = 0
     checksum = 0
-    for name in list_policies():
-        sched = create_policy(name)
+    for name, policy in POLICIES.items():
+        sched = policy()
         rng = RngTree(2025).stream(f"bench.{name}")
         for cid in range(contexts):
             sched.release_context(cid)
@@ -437,7 +437,7 @@ def _k_energy_accounting(params: Dict[str, int]) -> Dict[str, Any]:
     """
     from ..config import smarco_scaled
     from ..exp.cache import canonical_json
-    from ..power import ActivityEnergyModel, list_dvfs
+    from ..power import DVFS_POINTS, ActivityEnergyModel
     from ..power.tech import NODES
 
     cfg = smarco_scaled(4, 4)
@@ -470,7 +470,7 @@ def _k_energy_accounting(params: Dict[str, int]) -> Dict[str, Any]:
             stats[f"chip.mem.mc{mc}.dram{bank}.requests"] = \
                 rng.randrange(10_000)
 
-    points = list_dvfs()
+    points = DVFS_POINTS.names()
     nodes = sorted(NODES)
     rounds = params["rounds"]
     cycles = 250_000.0

@@ -20,7 +20,7 @@ from .activity import (
     classify_stat,
 )
 from .area import AreaModel
-from .dvfs import DVFS_POINTS, DvfsPoint, dvfs_summaries, get_dvfs, list_dvfs
+from .dvfs import DVFS_POINTS, DvfsPoint
 from .energy import PowerModel, XeonPowerModel, energy_efficiency
 from .report import EnergyReport, build_energy_report
 from .tech import NODES, TechNode, scale_area, scale_power
@@ -41,9 +41,6 @@ __all__ = [
     "classify_stat",
     "DvfsPoint",
     "DVFS_POINTS",
-    "get_dvfs",
-    "list_dvfs",
-    "dvfs_summaries",
     "EnergyReport",
     "build_energy_report",
 ]

@@ -49,7 +49,7 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple
 from ..config import SmarCoConfig, smarco_default
 from ..errors import ConfigError
 from .area import AreaModel
-from .dvfs import DvfsPoint, get_dvfs
+from .dvfs import DVFS_POINTS, DvfsPoint
 from .energy import STATIC_FRACTION, CAL_FREQUENCY_GHZ, PowerModel
 from .tech import scale_power
 
@@ -282,7 +282,7 @@ class ActivityEnergyModel:
     def _resolve_dvfs(self, dvfs: Optional[str]) -> DvfsPoint:
         if dvfs is None:
             return DvfsPoint("config", self.config.frequency_ghz, 1.0)
-        return get_dvfs(dvfs)
+        return DVFS_POINTS.get(dvfs)
 
     def _gated_static_watts(self, static_w: Dict[str, float],
                             idle: List[str]) -> float:

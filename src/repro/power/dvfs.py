@@ -15,11 +15,11 @@ operating point); other points are expressed relative to it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
 
+from ..catalog import Catalog
 from ..errors import ConfigError
 
-__all__ = ["DvfsPoint", "DVFS_POINTS", "get_dvfs", "list_dvfs", "dvfs_summaries"]
+__all__ = ["DvfsPoint", "DVFS_POINTS"]
 
 
 @dataclass(frozen=True)
@@ -49,31 +49,11 @@ class DvfsPoint:
 
 
 #: The operating-point table.  ``nominal`` is the Table 1 calibration
-#: point; the others bracket it the way server DVFS ladders do.
-DVFS_POINTS: Dict[str, DvfsPoint] = {
-    "crawl": DvfsPoint("crawl", frequency_ghz=0.9, voltage=0.80),
-    "eco": DvfsPoint("eco", frequency_ghz=1.2, voltage=0.90),
-    "nominal": DvfsPoint("nominal", frequency_ghz=1.5, voltage=1.00),
-    "turbo": DvfsPoint("turbo", frequency_ghz=1.8, voltage=1.10),
-}
-
-
-def get_dvfs(name: str) -> DvfsPoint:
-    """Look up an operating point by name; unknown names raise ConfigError."""
-    try:
-        return DVFS_POINTS[name]
-    except KeyError:
-        raise ConfigError(
-            f"unknown dvfs point {name!r}; known: {sorted(DVFS_POINTS)}"
-        ) from None
-
-
-def list_dvfs() -> List[str]:
-    """Registered operating-point names, sorted by frequency."""
-    return [p.name for p in
-            sorted(DVFS_POINTS.values(), key=lambda p: p.frequency_ghz)]
-
-
-def dvfs_summaries() -> List[str]:
-    """One human-readable line per operating point (for the CLI)."""
-    return [DVFS_POINTS[n].describe() for n in list_dvfs()]
+#: point; the others bracket it the way server DVFS ladders do.  Names
+#: sort in ascending frequency, so ``names()`` is the DVFS ladder.
+DVFS_POINTS: Catalog[DvfsPoint] = Catalog("dvfs point", ConfigError)
+for _point in (DvfsPoint("crawl", frequency_ghz=0.9, voltage=0.80),
+               DvfsPoint("eco", frequency_ghz=1.2, voltage=0.90),
+               DvfsPoint("nominal", frequency_ghz=1.5, voltage=1.00),
+               DvfsPoint("turbo", frequency_ghz=1.8, voltage=1.10)):
+    DVFS_POINTS.add(_point.name, _point)

@@ -20,7 +20,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from ..config import smarco_default
 from .activity import ActivityEnergyModel, EnergyAccounting
-from .dvfs import get_dvfs
+from .dvfs import DVFS_POINTS
 from .energy import PowerModel, XeonPowerModel, energy_efficiency
 
 __all__ = ["EnergyReport", "build_energy_report", "TOP_PATHS"]
@@ -100,7 +100,7 @@ def build_energy_report(outcome: Any) -> Optional[EnergyReport]:
         technology_nm=node, dvfs=request.dvfs,
         power_gate_idle=request.power_gate_idle)
 
-    point = get_dvfs(request.dvfs)
+    point = DVFS_POINTS.get(request.dvfs)
     # throughput at the operating point: same simulated IPC, DVFS clock
     throughput = smarco_result.ipc * point.frequency_ghz * 1e9
     perf_per_watt = energy_efficiency(throughput, acct.average_watts)

@@ -1,8 +1,8 @@
 """Task scheduling: the pluggable policy zoo and its adversarial scenarios.
 
 The package is a plug-in subsystem: :mod:`repro.sched.policy` defines the
-:class:`SchedulerPolicy` contract and the named registry, the paper's
-schedulers live in :mod:`repro.sched.policies`, the related-work
+:class:`SchedulerPolicy` contract and the :data:`POLICIES` catalogue, the
+paper's schedulers live in :mod:`repro.sched.policies`, the related-work
 competitors in :mod:`repro.sched.zoo`, and :mod:`repro.sched.scenarios`
 supplies the deterministic adversarial scripts plus the audited harness
 that races any (policy, scenario) pair.
@@ -15,28 +15,13 @@ from .dispatch import (
     TestbedResult,
     TimeSharedTestbed,
 )
-from .policies import (
-    DeadlineScheduler,
-    FifoScheduler,
-    LaxityScheduler,
-    make_scheduler,
-)
-from .policy import (
-    SchedulerPolicy,
-    create_policy,
-    get_policy,
-    list_policies,
-    policy_summaries,
-    register_policy,
-)
+from .policies import DeadlineScheduler, FifoScheduler, LaxityScheduler
+from .policy import POLICIES, SchedulerPolicy, register_policy
 from .scenarios import (
+    SCENARIOS,
     SchedRunResult,
     ScenarioTestbed,
-    get_scenario,
-    list_scenarios,
-    register_scenario,
     run_sched_scenario,
-    scenario_summaries,
 )
 from .task import Task, TaskPriority
 from .zoo import (
@@ -52,11 +37,8 @@ __all__ = [
     "ChainTable",
     # the policy protocol + registry
     "SchedulerPolicy",
+    "POLICIES",
     "register_policy",
-    "get_policy",
-    "create_policy",
-    "list_policies",
-    "policy_summaries",
     # registered policies
     "LaxityScheduler",
     "DeadlineScheduler",
@@ -65,7 +47,6 @@ __all__ = [
     "CriticalityScheduler",
     "task_criticality",
     "criticality_from_breakdown",
-    "make_scheduler",
     # testbeds and scenarios
     "MainScheduler",
     "SchedulerTestbed",
@@ -73,9 +54,6 @@ __all__ = [
     "TestbedResult",
     "ScenarioTestbed",
     "SchedRunResult",
-    "register_scenario",
-    "get_scenario",
-    "list_scenarios",
-    "scenario_summaries",
+    "SCENARIOS",
     "run_sched_scenario",
 ]

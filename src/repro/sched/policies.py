@@ -20,18 +20,14 @@ live in :mod:`repro.sched.zoo`.
 
 from __future__ import annotations
 
-import warnings
 from collections import deque
 from typing import Deque, Optional
 
-from ..config import SchedulerConfig
-from ..sim.stats import StatsRegistry
 from .chains import ChainTable
-from .policy import SchedulerPolicy, create_policy, register_policy
+from .policy import SchedulerPolicy, register_policy
 from .task import Task, TaskPriority
 
-__all__ = ["LaxityScheduler", "DeadlineScheduler", "FifoScheduler",
-           "make_scheduler"]
+__all__ = ["LaxityScheduler", "DeadlineScheduler", "FifoScheduler"]
 
 
 @register_policy("laxity")
@@ -143,20 +139,3 @@ class FifoScheduler(SchedulerPolicy):
     def _load_queue_state(self, state: list) -> None:
         self._queue = deque(state)
 
-
-def make_scheduler(policy: str, name: Optional[str] = None,
-                   config: Optional[SchedulerConfig] = None,
-                   registry: Optional[StatsRegistry] = None):
-    """Deprecated string-dispatch factory; use the policy registry.
-
-    Kept as a warning shim (in the style of the ``run.py`` kwargs shims):
-    it delegates to :func:`repro.sched.policy.create_policy`, which also
-    knows every policy registered after this factory was written.
-    """
-    warnings.warn(
-        "make_scheduler(policy) is deprecated; use "
-        "repro.sched.create_policy(policy) / get_policy(policy) — the "
-        "registry also covers plug-in policies",
-        DeprecationWarning, stacklevel=2)
-    return create_policy(policy, instance_name=name, config=config,
-                         registry=registry)

@@ -14,10 +14,10 @@ set pluggable:
   counters, so every policy exposes the same surface — the historical
   asymmetry where only the laxity scheduler managed contexts is gone.
 * :func:`register_policy` — class decorator adding a policy under a
-  stable name (``@register_policy("laxity")``).
-* :func:`get_policy` / :func:`create_policy` / :func:`list_policies` /
-  :func:`policy_summaries` — lookup, construction and introspection
-  (the ``policies`` CLI subcommand renders these).
+  stable name (``@register_policy("laxity")``) to :data:`POLICIES`, the
+  :class:`~repro.catalog.Catalog` every lookup goes through
+  (``POLICIES.get(name)``; the ``policies`` CLI subcommand renders
+  ``describe()`` for each entry).
 
 Every policy constructor takes the same keyword surface
 ``(name=None, config=None, registry=None)`` so factories, the scenario
@@ -29,20 +29,14 @@ from __future__ import annotations
 
 import abc
 from collections import deque
-from typing import Callable, ClassVar, Deque, Dict, List, Optional, Tuple, Type
+from typing import Callable, ClassVar, Deque, Dict, Optional, Tuple, Type
 
+from ..catalog import Catalog
 from ..errors import SchedulerError
 from ..sim.stats import StatsRegistry
 from .task import Task
 
-__all__ = [
-    "SchedulerPolicy",
-    "register_policy",
-    "get_policy",
-    "create_policy",
-    "list_policies",
-    "policy_summaries",
-]
+__all__ = ["SchedulerPolicy", "POLICIES", "register_policy"]
 
 
 class SchedulerPolicy(abc.ABC):
@@ -218,7 +212,9 @@ class SchedulerPolicy(abc.ABC):
 
 # -- the registry ------------------------------------------------------------
 
-_POLICIES: Dict[str, Type[SchedulerPolicy]] = {}
+#: every registered policy class, by name
+POLICIES: Catalog[Type[SchedulerPolicy]] = Catalog("scheduling policy",
+                                                   SchedulerError)
 
 
 def register_policy(name: str) -> Callable[[Type[SchedulerPolicy]],
@@ -230,50 +226,8 @@ def register_policy(name: str) -> Callable[[Type[SchedulerPolicy]],
             raise SchedulerError(
                 f"@register_policy({name!r}): {cls!r} is not a "
                 f"SchedulerPolicy subclass")
-        if name in _POLICIES:
-            raise SchedulerError(f"duplicate scheduler policy {name!r}")
+        POLICIES.add(name, cls)
         cls.policy_name = name
-        _POLICIES[name] = cls
         return cls
 
     return decorate
-
-
-def get_policy(name: str) -> Type[SchedulerPolicy]:
-    """The registered policy class for ``name`` (raises on unknown)."""
-    _ensure_builtin_policies()
-    try:
-        return _POLICIES[name]
-    except KeyError:
-        raise SchedulerError(
-            f"unknown scheduling policy {name!r}; "
-            f"registered: {', '.join(sorted(_POLICIES))}") from None
-
-
-def create_policy(name: str, *, instance_name: Optional[str] = None,
-                  config=None,
-                  registry: Optional[StatsRegistry] = None) -> SchedulerPolicy:
-    """Instantiate the registered policy ``name``."""
-    return get_policy(name)(name=instance_name, config=config,
-                            registry=registry)
-
-
-def list_policies() -> List[str]:
-    """Sorted names of every registered policy."""
-    _ensure_builtin_policies()
-    return sorted(_POLICIES)
-
-
-def policy_summaries() -> List[Dict[str, object]]:
-    """``describe()`` cards for every registered policy, name-sorted."""
-    _ensure_builtin_policies()
-    return [_POLICIES[name].describe() for name in sorted(_POLICIES)]
-
-
-def _ensure_builtin_policies() -> None:
-    """Import the modules whose import registers the built-in zoo.
-
-    Keeps registry lookups correct even when a caller imports
-    ``repro.sched.policy`` directly instead of the package.
-    """
-    from . import policies, zoo  # noqa: F401

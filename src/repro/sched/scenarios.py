@@ -38,13 +38,14 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..analysis.quantiles import quantile, thin_sorted
+from ..catalog import Catalog
 from ..chip.results import DictResult
 from ..errors import SchedulerError
 from ..sim.engine import Simulator
 from ..sim.rng import RngTree
 from ..sim.snapshot import snapshotable
 from ..sim.stats import StatsRegistry
-from .policy import create_policy
+from .policy import POLICIES
 from .task import Task, TaskPriority
 
 __all__ = [
@@ -52,10 +53,7 @@ __all__ = [
     "ScenarioScript",
     "ScenarioTestbed",
     "SchedRunResult",
-    "register_scenario",
-    "get_scenario",
-    "list_scenarios",
-    "scenario_summaries",
+    "SCENARIOS",
     "prepare_sched_scenario",
     "collect_sched_result",
     "run_sched_scenario",
@@ -88,43 +86,12 @@ ScenarioFn = Callable[[RngTree, Any, int, int], ScenarioScript]
 class SchedScenario:
     """One registered adversarial scenario."""
 
-    name: str
     summary: str
     build: ScenarioFn
 
 
-_SCENARIOS: Dict[str, SchedScenario] = {}
-
-
-def register_scenario(name: str, summary: str) -> Callable[[ScenarioFn],
-                                                           ScenarioFn]:
-    """Function decorator: add a scenario builder under ``name``."""
-
-    def decorate(fn: ScenarioFn) -> ScenarioFn:
-        if name in _SCENARIOS:
-            raise SchedulerError(f"duplicate scenario {name!r}")
-        _SCENARIOS[name] = SchedScenario(name=name, summary=summary, build=fn)
-        return fn
-
-    return decorate
-
-
-def get_scenario(name: str) -> SchedScenario:
-    try:
-        return _SCENARIOS[name]
-    except KeyError:
-        raise SchedulerError(
-            f"unknown scenario {name!r}; "
-            f"registered: {', '.join(sorted(_SCENARIOS))}") from None
-
-
-def list_scenarios() -> List[str]:
-    return sorted(_SCENARIOS)
-
-
-def scenario_summaries() -> List[Dict[str, str]]:
-    return [{"name": s.name, "summary": s.summary}
-            for _, s in sorted(_SCENARIOS.items())]
+#: every registered scenario, by name
+SCENARIOS: Catalog[SchedScenario] = Catalog("scenario", SchedulerError)
 
 
 # -- criticality stamping -----------------------------------------------------
@@ -155,8 +122,6 @@ def _stamp(task: Task, criticality: float, **extra: float) -> Task:
 # -- the scenario catalogue ---------------------------------------------------
 
 
-@register_scenario("uniform",
-                   "benign baseline: one wave, uniform sizes, loose deadline")
 def _s_uniform(rng_tree: RngTree, profile: Any, n_tasks: int,
                contexts: int) -> ScenarioScript:
     rng = rng_tree.stream("uniform.tasks")
@@ -172,9 +137,10 @@ def _s_uniform(rng_tree: RngTree, profile: Any, n_tasks: int,
     return ScenarioScript(arrivals=tuple(arrivals))
 
 
-@register_scenario("skewed",
-                   "heavy-tailed (Pareto) task sizes: a few monsters among "
-                   "many minnows")
+SCENARIOS.add("uniform", SchedScenario(
+    "benign baseline: one wave, uniform sizes, loose deadline", _s_uniform))
+
+
 def _s_skewed(rng_tree: RngTree, profile: Any, n_tasks: int,
               contexts: int) -> ScenarioScript:
     rng = rng_tree.stream("skewed.tasks")
@@ -189,9 +155,11 @@ def _s_skewed(rng_tree: RngTree, profile: Any, n_tasks: int,
     return ScenarioScript(arrivals=tuple(arrivals))
 
 
-@register_scenario("deadline-storm",
-                   "bursts of near-simultaneous arrivals with tight "
-                   "per-burst deadlines")
+SCENARIOS.add("skewed", SchedScenario(
+    "heavy-tailed (Pareto) task sizes: a few monsters among "
+    "many minnows", _s_skewed))
+
+
 def _s_deadline_storm(rng_tree: RngTree, profile: Any, n_tasks: int,
                       contexts: int) -> ScenarioScript:
     rng = rng_tree.stream("storm.tasks")
@@ -215,8 +183,11 @@ def _s_deadline_storm(rng_tree: RngTree, profile: Any, n_tasks: int,
     return ScenarioScript(arrivals=tuple(arrivals))
 
 
-@register_scenario("subring-drain",
-                   "half the contexts fail mid-run (sub-ring drain)")
+SCENARIOS.add("deadline-storm", SchedScenario(
+    "bursts of near-simultaneous arrivals with tight "
+    "per-burst deadlines", _s_deadline_storm))
+
+
 def _s_subring_drain(rng_tree: RngTree, profile: Any, n_tasks: int,
                      contexts: int) -> ScenarioScript:
     rng = rng_tree.stream("drain.tasks")
@@ -233,9 +204,10 @@ def _s_subring_drain(rng_tree: RngTree, profile: Any, n_tasks: int,
                           drains=((drain_at, contexts // 2),))
 
 
-@register_scenario("mact-hostile",
-                   "sparse scattered accesses defeat MACT batching: "
-                   "inflated work, high criticality variance")
+SCENARIOS.add("subring-drain", SchedScenario(
+    "half the contexts fail mid-run (sub-ring drain)", _s_subring_drain))
+
+
 def _s_mact_hostile(rng_tree: RngTree, profile: Any, n_tasks: int,
                     contexts: int) -> ScenarioScript:
     rng = rng_tree.stream("mact.tasks")
@@ -251,6 +223,11 @@ def _s_mact_hostile(rng_tree: RngTree, profile: Any, n_tasks: int,
         arrivals.append((0.0, _stamp(task, base * (0.5 + 2.5 * sparsity),
                                      sparsity=round(sparsity, 9))))
     return ScenarioScript(arrivals=tuple(arrivals))
+
+
+SCENARIOS.add("mact-hostile", SchedScenario(
+    "sparse scattered accesses defeat MACT batching: "
+    "inflated work, high criticality variance", _s_mact_hostile))
 
 
 # -- the audited scenario testbed --------------------------------------------
@@ -564,9 +541,9 @@ def prepare_sched_scenario(
         from ..workloads.base import get_profile
 
         profile = get_profile(workload)
-    sched_scenario = get_scenario(scenario)
+    sched_scenario = SCENARIOS.get(scenario)
     reg = registry if registry is not None else StatsRegistry()
-    sched = create_policy(policy, config=config, registry=reg)
+    sched = POLICIES.get(policy)(config=config, registry=reg)
     if auditor is not None:
         auditor.installed.append(f"sched:{policy}/{scenario}")
     rng_tree = RngTree(seed).child(f"sched.{scenario}")

@@ -4,9 +4,10 @@ The package splits along the request's path through the datacenter tier:
 
 * :mod:`repro.traffic.request`  — the timestamped unit of work;
 * :mod:`repro.traffic.arrivals` — seeded open-loop arrival processes
-  (Poisson, bursty MMPP, diurnal), registered by name;
+  (Poisson, bursty MMPP, diurnal), registered by name in ``ARRIVALS``;
 * :mod:`repro.traffic.balancer` — front-end routing policies
-  (round-robin, least-outstanding, subring-aware), registered by name;
+  (round-robin, least-outstanding, subring-aware), registered by name
+  in ``BALANCERS``;
 * :mod:`repro.traffic.cluster`  — calibrated chip servers, the cluster
   driver and the :class:`TrafficRunResult` it folds latencies into.
 
@@ -14,22 +15,8 @@ The package splits along the request's path through the datacenter tier:
 the supported entry point; :func:`run_traffic` is the engine underneath.
 """
 
-from .arrivals import (
-    ArrivalProcess,
-    arrival_summaries,
-    generate_requests,
-    get_arrival,
-    list_arrivals,
-    register_arrival,
-)
-from .balancer import (
-    LoadBalancer,
-    balancer_summaries,
-    create_balancer,
-    get_balancer,
-    list_balancers,
-    register_balancer,
-)
+from .arrivals import ARRIVALS, ArrivalProcess, generate_requests
+from .balancer import BALANCERS, LoadBalancer
 from .cluster import (
     CROSS_RING_PENALTY,
     ChipCalibration,
@@ -43,17 +30,10 @@ from .request import TrafficRequest
 
 __all__ = [
     "ArrivalProcess",
-    "arrival_summaries",
+    "ARRIVALS",
     "generate_requests",
-    "get_arrival",
-    "list_arrivals",
-    "register_arrival",
     "LoadBalancer",
-    "balancer_summaries",
-    "create_balancer",
-    "get_balancer",
-    "list_balancers",
-    "register_balancer",
+    "BALANCERS",
     "CROSS_RING_PENALTY",
     "ChipCalibration",
     "ChipServer",

@@ -18,82 +18,43 @@ the who-wins-where analysis of ``repro.sched`` made familiar:
   is not a featureless server — cross-ring placement pays the bridge
   penalty (see ``docs/traffic.md``).
 
-Policies are registered by name so ``RunRequest.traffic_balancer`` is a
-plain cache-key string, mirroring the scheduler policy registry.
+Policies are registered by name in :data:`BALANCERS` so
+``RunRequest.traffic_balancer`` is a plain cache-key string, mirroring
+the scheduler policy catalogue.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Sequence, Type
+from typing import Sequence, Type
 
+from ..catalog import Catalog
 from ..errors import TrafficError
 from .request import TrafficRequest
 
-__all__ = [
-    "LoadBalancer",
-    "register_balancer",
-    "get_balancer",
-    "create_balancer",
-    "list_balancers",
-    "balancer_summaries",
-]
+__all__ = ["LoadBalancer", "BALANCERS"]
 
 
 class LoadBalancer:
-    """Routing policy base: subclass, set ``name``/``summary``, register."""
+    """Routing policy base: subclass, set ``summary``, register."""
 
-    name = "base"
     summary = "abstract"
 
     def route(self, request: TrafficRequest, servers: Sequence) -> int:
         """Index of the serving chip for ``request``."""
         raise NotImplementedError
 
-    def describe(self) -> Dict[str, str]:
-        return {"name": self.name, "summary": self.summary}
 
-
-_BALANCERS: Dict[str, Type[LoadBalancer]] = {}
-
-
-def register_balancer(cls: Type[LoadBalancer]) -> Type[LoadBalancer]:
-    """Class decorator: add a balancer under its ``name`` attribute."""
-    if cls.name in _BALANCERS:
-        raise TrafficError(f"duplicate balancer {cls.name!r}")
-    _BALANCERS[cls.name] = cls
-    return cls
-
-
-def get_balancer(name: str) -> Type[LoadBalancer]:
-    try:
-        return _BALANCERS[name]
-    except KeyError:
-        raise TrafficError(
-            f"unknown balancer {name!r}; "
-            f"registered: {', '.join(sorted(_BALANCERS))}") from None
-
-
-def create_balancer(name: str) -> LoadBalancer:
-    return get_balancer(name)()
-
-
-def list_balancers() -> List[str]:
-    return sorted(_BALANCERS)
-
-
-def balancer_summaries() -> List[Dict[str, str]]:
-    return [{"name": name, "summary": _BALANCERS[name].summary}
-            for name in sorted(_BALANCERS)]
+#: every registered balancer class, by name
+BALANCERS: Catalog[Type[LoadBalancer]] = Catalog("balancer", TrafficError)
 
 
 # -- the catalogue -----------------------------------------------------------
 
 
-@register_balancer
+@BALANCERS.register("round-robin")
 class RoundRobinBalancer(LoadBalancer):
     """Stateless rotation over the chips."""
 
-    name = "round-robin"
     summary = "rotate over chips regardless of load"
 
     def __init__(self) -> None:
@@ -105,11 +66,10 @@ class RoundRobinBalancer(LoadBalancer):
         return chip
 
 
-@register_balancer
+@BALANCERS.register("least-outstanding")
 class LeastOutstandingBalancer(LoadBalancer):
     """Join the chip with the fewest in-flight + queued requests."""
 
-    name = "least-outstanding"
     summary = "join the chip with the fewest outstanding requests"
 
     def route(self, request: TrafficRequest, servers: Sequence) -> int:
@@ -117,7 +77,7 @@ class LeastOutstandingBalancer(LoadBalancer):
                    key=lambda i: (servers[i].outstanding, i))
 
 
-@register_balancer
+@BALANCERS.register("subring-aware")
 class SubringAwareBalancer(LoadBalancer):
     """Place a flow where its preferred sub-ring is least busy.
 
@@ -128,7 +88,6 @@ class SubringAwareBalancer(LoadBalancer):
     the MACT seeing the adjacent small accesses it batches best.
     """
 
-    name = "subring-aware"
     summary = "flow-affine: least-busy preferred sub-ring, then least load"
 
     def route(self, request: TrafficRequest, servers: Sequence) -> int:

@@ -51,7 +51,7 @@ from ..sim.engine import Simulator
 from ..sim.rng import RngTree
 from ..sim.stats import StatsRegistry
 from .arrivals import generate_requests
-from .balancer import create_balancer
+from .balancer import BALANCERS
 from .request import TrafficRequest
 
 __all__ = [
@@ -492,7 +492,7 @@ def run_traffic(request: Any, registry: Optional[StatsRegistry] = None,
     jitter = _JitterSampler(calibration, rng.stream("jitter"))
     servers = [ChipServer(sim, i, calibration, jitter, collector)
                for i in range(chips)]
-    balancer = create_balancer(request.traffic_balancer)
+    balancer = BALANCERS.get(request.traffic_balancer)()
 
     def inject(req: TrafficRequest) -> None:
         servers[balancer.route(req, servers)].submit(req)

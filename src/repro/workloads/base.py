@@ -22,6 +22,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, Optional, Tuple
 
+from ..catalog import Catalog
 from ..core.stream import CoreInstr
 from ..core.tcg import UNCACHED_BASE
 from ..errors import WorkloadError
@@ -353,24 +354,16 @@ class XeonCodeSampler:
 register_snapshot_class(WorkloadProfile)
 register_snapshot_class(GranularityDist)
 
-_REGISTRY: Dict[str, WorkloadProfile] = {}
+_PROFILES: Catalog[WorkloadProfile] = Catalog("workload", WorkloadError)
 
 
 def register_profile(profile: WorkloadProfile) -> WorkloadProfile:
-    if profile.name in _REGISTRY:
-        raise WorkloadError(f"duplicate workload profile {profile.name!r}")
-    _REGISTRY[profile.name] = profile
-    return profile
+    return _PROFILES.add(profile.name, profile)
 
 
 def get_profile(name: str) -> WorkloadProfile:
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise WorkloadError(
-            f"unknown workload {name!r}; known: {sorted(_REGISTRY)}"
-        ) from None
+    return _PROFILES.get(name)
 
 
 def all_profiles() -> Dict[str, WorkloadProfile]:
-    return dict(_REGISTRY)
+    return dict(_PROFILES.items())

@@ -1,12 +1,10 @@
 """Tests for the comparison harness (chip/run.py)."""
 
-import warnings
-
 import pytest
 
-from repro.chip import ComparisonResult, compare, execute, run_smarco, run_xeon
+from repro.chip import ComparisonResult, execute
 from repro.config import smarco_scaled
-from repro.errors import WorkloadError
+from repro.errors import ConfigError
 from repro.exp import RunRequest
 
 
@@ -15,19 +13,19 @@ class TestRunHelpers:
         request = RunRequest(kind="smarco", workload="kmp",
                              smarco_config=smarco_scaled(1, 4),
                              threads_per_core=4, instrs_per_thread=100)
-        result = run_smarco(request)
+        result = execute(request).result
         assert result.instructions == 4 * 4 * 100
 
     def test_unknown_workload(self):
-        with pytest.raises(WorkloadError):
-            run_smarco(RunRequest(workload="quake",
-                                  smarco_config=smarco_scaled(1, 2)))
+        with pytest.raises(ConfigError, match="unknown workload 'quake'"):
+            execute(RunRequest(workload="quake",
+                               smarco_config=smarco_scaled(1, 2)))
 
     def test_run_smarco_policy_passthrough(self):
         base = RunRequest(workload="kmp", smarco_config=smarco_scaled(1, 4),
                           threads_per_core=8, instrs_per_thread=100)
-        pair = run_smarco(base.replace(core_policy="inpair"))
-        coarse = run_smarco(base.replace(core_policy="coarse"))
+        pair = execute(base.replace(core_policy="inpair")).result
+        coarse = execute(base.replace(core_policy="coarse")).result
         assert pair.cycles != coarse.cycles        # policies actually differ
 
     def test_execute_returns_outcome_with_stats(self):
@@ -40,43 +38,13 @@ class TestRunHelpers:
         assert outcome.stats                       # registry dump rides along
 
 
-class TestKwargsShims:
-    """Legacy positional-workload calls still work but warn."""
-
-    def test_run_smarco_kwargs_warns_and_matches_request(self):
-        with pytest.warns(DeprecationWarning, match="run_smarco"):
-            legacy = run_smarco("kmp", smarco_scaled(1, 4),
-                                threads_per_core=4, instrs_per_thread=100)
-        modern = run_smarco(RunRequest(
-            kind="smarco", workload="kmp", smarco_config=smarco_scaled(1, 4),
-            threads_per_core=4, instrs_per_thread=100))
-        assert legacy == modern
-
-    def test_run_xeon_kwargs_warns(self):
-        with pytest.warns(DeprecationWarning, match="run_xeon"):
-            run_xeon("kmp", n_threads=4, instrs_per_thread=2_000)
-
-    def test_compare_kwargs_warns(self):
-        with pytest.warns(DeprecationWarning, match="compare"):
-            compare("kmp", smarco_config=smarco_scaled(1, 4),
-                    smarco_instrs_per_thread=60, xeon_threads=4,
-                    xeon_instrs_per_thread=1_000)
-
-    def test_request_path_does_not_warn(self):
-        request = RunRequest(kind="xeon", workload="kmp", xeon_threads=4,
-                             xeon_instrs_per_thread=2_000)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            run_xeon(request)
-
-
 class TestCompare:
     @pytest.fixture(scope="class")
     def result(self):
-        return compare(RunRequest(
+        return execute(RunRequest(
             kind="compare", workload="wordcount",
             smarco_config=smarco_scaled(2, 8), instrs_per_thread=150,
-            xeon_threads=16, xeon_instrs_per_thread=10_000, seed=9))
+            xeon_threads=16, xeon_instrs_per_thread=10_000, seed=9)).result
 
     def test_result_shape(self, result):
         assert isinstance(result, ComparisonResult)
@@ -105,8 +73,8 @@ class TestCompare:
                           smarco_config=smarco_scaled(1, 4),
                           instrs_per_thread=100, xeon_threads=8,
                           xeon_instrs_per_thread=5_000, seed=3)
-        at32 = compare(base)
-        at40 = compare(base.replace(technology_nm=40))
+        at32 = execute(base).result
+        at40 = execute(base.replace(technology_nm=40)).result
         # the 40nm node burns more power -> lower energy-efficiency gain
         assert at40.smarco_watts > at32.smarco_watts
         assert at40.energy_efficiency_gain < at32.energy_efficiency_gain

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.chip import XeonSystem, run_xeon
+from repro.chip import XeonSystem, execute
 from repro.config import XeonConfig
 from repro.errors import ConfigError
 from repro.exp import RunRequest
@@ -100,14 +100,13 @@ class TestFig1Metrics:
 class TestSmarcoVsXeonDirection:
     def test_smarco_beats_xeon_on_htc(self):
         """The headline direction of Fig 22 at test scale."""
-        from repro.chip import run_smarco
         from repro.config import smarco_scaled
 
-        smarco = run_smarco(RunRequest(
+        smarco = execute(RunRequest(
             kind="smarco", workload="wordcount",
             smarco_config=smarco_scaled(2, 8),
-            threads_per_core=8, instrs_per_thread=250))
-        xeon = run_xeon(RunRequest(
+            threads_per_core=8, instrs_per_thread=250)).result
+        xeon = execute(RunRequest(
             kind="xeon", workload="wordcount",
-            xeon_threads=48, xeon_instrs_per_thread=10_000))
+            xeon_threads=48, xeon_instrs_per_thread=10_000)).result
         assert smarco.throughput_ips > xeon.throughput_ips

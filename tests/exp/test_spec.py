@@ -39,9 +39,11 @@ class TestGrid:
             ExperimentSpec(name="")
 
     def test_points_validate_requests(self):
-        spec = ExperimentSpec.grid("g", RunRequest(), threads_per_core=[0])
-        with pytest.raises(ConfigError):
-            spec.points()
+        for bad in ({"threads_per_core": [0]}, {"workload": ["quake"]},
+                    {"core_policy": ["bogus"]}):
+            spec = ExperimentSpec.grid("g", RunRequest(), **bad)
+            with pytest.raises(ConfigError):
+                spec.points()
 
 
 class TestExplicit:

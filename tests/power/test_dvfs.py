@@ -3,12 +3,12 @@
 import pytest
 
 from repro.errors import ConfigError
-from repro.power import DVFS_POINTS, DvfsPoint, dvfs_summaries, get_dvfs, list_dvfs
+from repro.power import DVFS_POINTS, DvfsPoint
 
 
 class TestRegistry:
     def test_nominal_is_calibration_point(self):
-        point = get_dvfs("nominal")
+        point = DVFS_POINTS.get("nominal")
         assert point.frequency_ghz == pytest.approx(1.5)
         assert point.voltage == pytest.approx(1.0)
         assert point.dynamic_scale == pytest.approx(1.0)
@@ -16,19 +16,16 @@ class TestRegistry:
 
     def test_unknown_name_raises(self):
         with pytest.raises(ConfigError, match="unknown dvfs point"):
-            get_dvfs("ludicrous")
+            DVFS_POINTS.get("ludicrous")
 
     def test_list_sorted_by_frequency(self):
-        names = list_dvfs()
-        freqs = [DVFS_POINTS[n].frequency_ghz for n in names]
+        freqs = [p.frequency_ghz for _, p in DVFS_POINTS.items()]
         assert freqs == sorted(freqs)
-        assert set(names) == set(DVFS_POINTS)
 
     def test_summaries_cover_every_point(self):
-        lines = dvfs_summaries()
-        assert len(lines) == len(DVFS_POINTS)
-        for name in DVFS_POINTS:
-            assert any(line.startswith(f"{name}:") for line in lines)
+        for name, point in DVFS_POINTS.items():
+            assert point.name == name
+            assert point.describe().startswith(f"{name}:")
 
 
 class TestScaling:
@@ -41,7 +38,7 @@ class TestScaling:
         assert point.static_scale == pytest.approx(0.8)
 
     def test_turbo_costs_more_per_event_than_eco(self):
-        assert get_dvfs("turbo").dynamic_scale > get_dvfs("eco").dynamic_scale
+        assert DVFS_POINTS.get("turbo").dynamic_scale > DVFS_POINTS.get("eco").dynamic_scale
 
     def test_describe_mentions_frequency(self):
-        assert "1.50 GHz" in get_dvfs("nominal").describe()
+        assert "1.50 GHz" in DVFS_POINTS.get("nominal").describe()

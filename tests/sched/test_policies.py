@@ -10,8 +10,8 @@ from repro.sched import (
     MainScheduler,
     SchedulerTestbed,
     Task,
+    POLICIES,
     TaskPriority,
-    make_scheduler,
 )
 from repro.sim import RngTree, Simulator
 
@@ -95,17 +95,13 @@ class TestDeadlineScheduler:
 
 class TestFactory:
     def test_make_each_policy(self):
-        with pytest.warns(DeprecationWarning):
-            assert isinstance(make_scheduler("laxity"), LaxityScheduler)
-        with pytest.warns(DeprecationWarning):
-            assert isinstance(make_scheduler("deadline"), DeadlineScheduler)
-        with pytest.warns(DeprecationWarning):
-            assert isinstance(make_scheduler("fifo"), FifoScheduler)
+        assert isinstance(POLICIES.get("laxity")(), LaxityScheduler)
+        assert isinstance(POLICIES.get("deadline")(), DeadlineScheduler)
+        assert isinstance(POLICIES.get("fifo")(), FifoScheduler)
 
     def test_unknown_policy(self):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(SchedulerError):
-                make_scheduler("lottery")
+        with pytest.raises(SchedulerError):
+            POLICIES.get("lottery")
 
 
 class TestMainScheduler:

@@ -16,16 +16,12 @@ import pytest
 from repro.config import SchedulerConfig
 from repro.errors import ConfigError, SchedulerError
 from repro.sched import (
+    POLICIES,
     LaxityScheduler,
     SchedulerPolicy,
     SchedulerTestbed,
     Task,
     TaskPriority,
-    create_policy,
-    get_policy,
-    list_policies,
-    make_scheduler,
-    policy_summaries,
     run_sched_scenario,
 )
 from repro.sched.policy import register_policy
@@ -47,21 +43,21 @@ def _tasks(n=24, seed=0, deadline=500_000.0):
     return out
 
 
-@pytest.fixture(params=list_policies())
+@pytest.fixture(params=POLICIES.names())
 def policy_name(request):
     return request.param
 
 
 class TestRegistry:
     def test_builtins_registered(self):
-        names = list_policies()
+        names = POLICIES.names()
         for expected in ("laxity", "deadline", "fifo", "smt-balance",
                          "criticality"):
             assert expected in names
 
     def test_get_policy_unknown(self):
         with pytest.raises(SchedulerError, match="unknown scheduling policy"):
-            get_policy("nope")
+            POLICIES.get("nope")
 
     def test_duplicate_name_rejected(self):
         with pytest.raises(SchedulerError, match="duplicate"):
@@ -82,9 +78,9 @@ class TestRegistry:
             register_policy("oops")(object)
 
     def test_summaries_cover_every_policy(self):
-        cards = policy_summaries()
-        assert [c["name"] for c in cards] == list_policies()
-        for card in cards:
+        for name, policy in POLICIES.items():
+            card = policy.describe()
+            assert card["name"] == name
             assert card["summary"]
             assert card["decision_overhead"] > 0
 
@@ -93,26 +89,22 @@ class TestRegistry:
         with pytest.raises(ConfigError, match="unknown scheduler policy"):
             SchedulerConfig(policy="random").validate()
 
-    def test_make_scheduler_deprecated_but_working(self):
-        with pytest.warns(DeprecationWarning, match="make_scheduler"):
-            sched = make_scheduler("laxity")
-        assert isinstance(sched, LaxityScheduler)
-
 
 class TestConformance:
     """Contract every registered policy must honour."""
 
     def test_uniform_constructor(self, policy_name):
         reg = StatsRegistry()
-        sched = create_policy(policy_name, instance_name="s0",
-                              config=SchedulerConfig(), registry=reg)
+        sched = POLICIES.get(policy_name)(name="s0",
+                                          config=SchedulerConfig(),
+                                          registry=reg)
         assert sched.name == "s0"
         assert sched.registry is reg
         assert sched.decision_overhead > 0
         assert type(sched).policy_name == policy_name
 
     def test_task_conservation(self, policy_name):
-        sched = create_policy(policy_name)
+        sched = POLICIES.get(policy_name)()
         tasks = _tasks(24)
         for t in tasks:
             sched.submit(t)
@@ -132,7 +124,7 @@ class TestConformance:
         assert sched.stats()["dispatched"] == 24
 
     def test_context_lifecycle(self, policy_name):
-        sched = create_policy(policy_name)
+        sched = POLICIES.get(policy_name)()
         for cid in range(4):
             sched.release_context(cid)
         assert sched.free_contexts == 4
@@ -145,7 +137,7 @@ class TestConformance:
         assert sched.acquire_context() is None
 
     def test_assign_pairs_context_and_task(self, policy_name):
-        sched = create_policy(policy_name)
+        sched = POLICIES.get(policy_name)()
         assert sched.assign() is None                # nothing queued, no ctx
         for t in _tasks(3):
             sched.submit(t)
@@ -162,7 +154,7 @@ class TestConformance:
 
     def test_deterministic_ordering(self, policy_name):
         def drain_order(seed):
-            sched = create_policy(policy_name)
+            sched = POLICIES.get(policy_name)()
             for t in _tasks(16, seed=seed):
                 sched.submit(t)
             order = []
@@ -206,7 +198,7 @@ class TestZoo:
     def test_criticality_orders_by_payload(self):
         from repro.sched import task_criticality
 
-        sched = create_policy("criticality")
+        sched = POLICIES.get("criticality")()
         low = Task(work_cycles=100, deadline=1000,
                    payload={"criticality": 0.1})
         high = Task(work_cycles=100, deadline=1000,
@@ -230,7 +222,7 @@ class TestZoo:
         assert criticality_from_breakdown([]) == 0.0
 
     def test_smt_balance_tracks_served_work(self):
-        sched = create_policy("smt-balance")
+        sched = POLICIES.get("smt-balance")()
         for t in _tasks(6, seed=2):
             sched.submit(t)
         for cid in range(2):

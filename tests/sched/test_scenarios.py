@@ -9,42 +9,34 @@ from repro.chip.run import execute
 from repro.config import AuditConfig
 from repro.errors import ConfigError, SchedulerError
 from repro.exp import ExperimentSpec, RunRequest, Runner
-from repro.sched import (
-    SchedRunResult,
-    get_scenario,
-    list_scenarios,
-    run_sched_scenario,
-    scenario_summaries,
-)
-from repro.sched.scenarios import register_scenario
+from repro.sched import SCENARIOS, SchedRunResult, run_sched_scenario
+from repro.sched.scenarios import SchedScenario
 from repro.sim.rng import RngTree
 from repro.workloads.base import get_profile
 
 
 class TestCatalogue:
     def test_five_scenarios_registered(self):
-        names = list_scenarios()
+        names = SCENARIOS.names()
         for expected in ("uniform", "skewed", "deadline-storm",
                          "subring-drain", "mact-hostile"):
             assert expected in names
 
     def test_unknown_scenario(self):
         with pytest.raises(SchedulerError, match="unknown scenario"):
-            get_scenario("nope")
+            SCENARIOS.get("nope")
 
     def test_duplicate_scenario_rejected(self):
         with pytest.raises(SchedulerError, match="duplicate"):
-            register_scenario("uniform", "again")(lambda *a: None)
+            SCENARIOS.add("uniform", SchedScenario("again", lambda *a: None))
 
     def test_summaries(self):
-        cards = scenario_summaries()
-        assert [c["name"] for c in cards] == list_scenarios()
-        assert all(c["summary"] for c in cards)
+        assert all(s.summary for _, s in SCENARIOS.items())
 
-    @pytest.mark.parametrize("name", list_scenarios())
+    @pytest.mark.parametrize("name", SCENARIOS.names())
     def test_scripts_are_deterministic(self, name):
         profile = get_profile("kmp")
-        build = get_scenario(name).build
+        build = SCENARIOS.get(name).build
 
         def fingerprint(seed):
             script = build(RngTree(seed), profile, 20, 8)
@@ -54,22 +46,22 @@ class TestCatalogue:
         assert fingerprint(11) == fingerprint(11)
         assert fingerprint(11) != fingerprint(12)
 
-    @pytest.mark.parametrize("name", list_scenarios())
+    @pytest.mark.parametrize("name", SCENARIOS.names())
     def test_criticality_stamped(self, name):
-        script = get_scenario(name).build(RngTree(0), get_profile("kmp"),
+        script = SCENARIOS.get(name).build(RngTree(0), get_profile("kmp"),
                                           10, 4)
         for _, task in script.arrivals:
             assert task.payload["criticality"] > 0
 
     def test_storm_has_timed_arrivals(self):
-        script = get_scenario("deadline-storm").build(
+        script = SCENARIOS.get("deadline-storm").build(
             RngTree(0), get_profile("kmp"), 16, 4)
         times = sorted({at for at, _ in script.arrivals})
         assert len(times) > 4            # several distinct burst instants
         assert times[0] < times[-1]
 
     def test_drain_event_present_and_clamped(self):
-        script = get_scenario("subring-drain").build(
+        script = SCENARIOS.get("subring-drain").build(
             RngTree(0), get_profile("kmp"), 12, 6)
         assert script.drains == ((script.drains[0][0], 3),)
         # the harness never drains the last context even if asked to

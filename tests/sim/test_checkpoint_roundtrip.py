@@ -18,7 +18,7 @@ from repro.config import smarco_scaled
 from repro.errors import (CheckpointError, CheckpointSchemaError,
                           CheckpointVersionError, ConfigError)
 from repro.exp.request import RunRequest
-from repro.sched import Task, TaskPriority, create_policy, list_policies
+from repro.sched import POLICIES, Task, TaskPriority
 from repro.sim.rng import RngTree
 
 
@@ -99,7 +99,7 @@ def _tasks(n=12, seed=0):
     return out
 
 
-@pytest.fixture(params=list_policies())
+@pytest.fixture(params=POLICIES.names())
 def policy_name(request):
     return request.param
 
@@ -108,14 +108,14 @@ class TestPolicyStateConformance:
     """Every registered policy must checkpoint its queues and contexts."""
 
     def _loaded_pair(self, policy_name):
-        sched = create_policy(policy_name)
+        sched = POLICIES.get(policy_name)()
         for t in _tasks(12):
             sched.submit(t)
         for cid in range(4):
             sched.release_context(cid)
         sched.next_task()              # leave a partially drained queue
         sched.acquire_context()
-        fresh = create_policy(policy_name)
+        fresh = POLICIES.get(policy_name)()
         fresh.load_state(sched.state_dict())
         return sched, fresh
 

@@ -118,9 +118,9 @@ def test_report_includes_sweep_telemetry(tmp_path, capsys):
 
 
 def test_unknown_workload_raises():
-    from repro.errors import WorkloadError
+    from repro.errors import ConfigError
 
-    with pytest.raises(WorkloadError):
+    with pytest.raises(ConfigError, match="unknown workload 'doom'"):
         main(["run", "doom"])
 
 

@@ -4,53 +4,45 @@ import pytest
 
 from repro.errors import TrafficError
 from repro.sim.rng import RngTree
-from repro.traffic import (
-    arrival_summaries,
-    generate_requests,
-    get_arrival,
-    list_arrivals,
-    register_arrival,
-)
+from repro.traffic import ARRIVALS, ArrivalProcess, generate_requests
 
 
 class TestRegistry:
     def test_three_processes_registered(self):
-        names = list_arrivals()
+        names = ARRIVALS.names()
         for expected in ("poisson", "bursty", "diurnal"):
             assert expected in names
 
     def test_unknown_arrival(self):
         with pytest.raises(TrafficError, match="unknown arrival"):
-            get_arrival("tsunami")
+            ARRIVALS.get("tsunami")
 
     def test_duplicate_rejected(self):
         with pytest.raises(TrafficError, match="duplicate"):
-            register_arrival("poisson", "again")(lambda *a: None)
+            ARRIVALS.add("poisson", ArrivalProcess("again", lambda *a: None))
 
     def test_summaries(self):
-        cards = arrival_summaries()
-        assert [c["name"] for c in cards] == list_arrivals()
-        assert all(c["summary"] for c in cards)
+        assert all(a.summary for _, a in ARRIVALS.items())
 
 
 def _times(name, seed, rate=0.01, n=500):
-    return [t for t in get_arrival(name).build(RngTree(seed), rate, n)]
+    return [t for t in ARRIVALS.get(name).build(RngTree(seed), rate, n)]
 
 
 class TestProcesses:
-    @pytest.mark.parametrize("name", list_arrivals())
+    @pytest.mark.parametrize("name", ARRIVALS.names())
     def test_deterministic_and_seed_sensitive(self, name):
         assert _times(name, 3) == _times(name, 3)
         assert _times(name, 3) != _times(name, 4)
 
-    @pytest.mark.parametrize("name", list_arrivals())
+    @pytest.mark.parametrize("name", ARRIVALS.names())
     def test_monotone_nonnegative(self, name):
         times = _times(name, 0)
         assert len(times) == 500
         assert times[0] >= 0.0
         assert all(b >= a for a, b in zip(times, times[1:]))
 
-    @pytest.mark.parametrize("name", list_arrivals())
+    @pytest.mark.parametrize("name", ARRIVALS.names())
     def test_long_run_rate_near_requested(self, name):
         rate, n = 0.02, 8000
         times = _times(name, 1, rate=rate, n=n)
@@ -72,9 +64,9 @@ class TestProcesses:
         assert poisson == pytest.approx(1.0, rel=0.3)
         assert bursty > poisson * 1.5
 
-    @pytest.mark.parametrize("name", list_arrivals())
+    @pytest.mark.parametrize("name", ARRIVALS.names())
     def test_bad_inputs(self, name):
-        build = get_arrival(name).build
+        build = ARRIVALS.get(name).build
         with pytest.raises(TrafficError, match="rate"):
             list(build(RngTree(0), 0.0, 10))
         with pytest.raises(TrafficError, match="request"):

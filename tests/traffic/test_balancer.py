@@ -3,14 +3,7 @@
 import pytest
 
 from repro.errors import TrafficError
-from repro.traffic import (
-    balancer_summaries,
-    create_balancer,
-    get_balancer,
-    list_balancers,
-    register_balancer,
-)
-from repro.traffic.balancer import LoadBalancer
+from repro.traffic import BALANCERS, LoadBalancer
 from repro.traffic.request import TrafficRequest
 
 
@@ -30,48 +23,45 @@ def _req(flow=0):
 
 class TestRegistry:
     def test_three_policies_registered(self):
-        names = list_balancers()
+        names = BALANCERS.names()
         for expected in ("round-robin", "least-outstanding",
                          "subring-aware"):
             assert expected in names
 
     def test_unknown_balancer(self):
         with pytest.raises(TrafficError, match="unknown balancer"):
-            get_balancer("clairvoyant")
+            BALANCERS.get("clairvoyant")
 
     def test_duplicate_rejected(self):
-        class Dup(LoadBalancer):
-            name = "round-robin"
-
         with pytest.raises(TrafficError, match="duplicate"):
-            register_balancer(Dup)
+            @BALANCERS.register("round-robin")
+            class Dup(LoadBalancer):   # pragma: no cover - rejected
+                pass
 
     def test_summaries_and_describe(self):
-        cards = balancer_summaries()
-        assert [c["name"] for c in cards] == list_balancers()
-        card = create_balancer("round-robin").describe()
-        assert card["name"] == "round-robin" and card["summary"]
+        for _, balancer in BALANCERS.items():
+            assert balancer.summary != LoadBalancer.summary
 
 
 class TestPolicies:
     def test_round_robin_cycles(self):
-        rr = create_balancer("round-robin")
+        rr = BALANCERS.get("round-robin")()
         servers = [StubServer(99), StubServer(0), StubServer(0)]
         picks = [rr.route(_req(), servers) for _ in range(6)]
         assert picks == [0, 1, 2, 0, 1, 2]       # ignores load entirely
 
     def test_least_outstanding_picks_emptiest(self):
-        lo = create_balancer("least-outstanding")
+        lo = BALANCERS.get("least-outstanding")()
         servers = [StubServer(5), StubServer(2), StubServer(7)]
         assert lo.route(_req(), servers) == 1
 
     def test_least_outstanding_tie_breaks_low_index(self):
-        lo = create_balancer("least-outstanding")
+        lo = BALANCERS.get("least-outstanding")()
         servers = [StubServer(3), StubServer(3)]
         assert lo.route(_req(), servers) == 0
 
     def test_subring_aware_follows_flow_affinity(self):
-        sa = create_balancer("subring-aware")
+        sa = BALANCERS.get("subring-aware")()
         # flow 1 -> sub-ring 1; chip 0 is globally emptier but its
         # sub-ring 1 is busier than chip 1's
         servers = [StubServer(1, ring_busy=[0, 4]),
@@ -81,7 +71,7 @@ class TestPolicies:
         assert sa.route(_req(flow=0), servers) == 0
 
     def test_subring_aware_falls_back_to_total_load(self):
-        sa = create_balancer("subring-aware")
+        sa = BALANCERS.get("subring-aware")()
         servers = [StubServer(6, ring_busy=[2, 2]),
                    StubServer(1, ring_busy=[2, 2])]
         assert sa.route(_req(flow=0), servers) == 1
